@@ -56,7 +56,6 @@ from .protocol import (
     SequenceRecord,
     TypicalSubspace,
     extension_protocol,
-    js_compress_sequence,
     js_protocol,
     rate_of,
     typical_subspace,

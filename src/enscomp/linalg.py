@@ -77,15 +77,6 @@ def kron_all(mats, *, max_dim: int | None = None) -> np.ndarray:
     return out
 
 
-def kron_vec_all(vecs) -> np.ndarray:
-    """Kronecker product of a sequence of vectors, left to right."""
-    vecs = list(vecs)
-    out = np.asarray(vecs[0], dtype=np.complex128)
-    for v in vecs[1:]:
-        out = np.kron(out, np.asarray(v, dtype=np.complex128))
-    return out
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out all tensor factors except those listed in ``keep``.
 
@@ -144,8 +135,8 @@ def hermitian_eig(h, *, atol: float = HERMITIAN_ATOL) -> EigDecomposition:
     return EigDecomposition(w[order].astype(float), v[:, order])
 
 
-def psd_sqrt(p) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-9, 0) are clamped.
+def _psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a PSD matrix; eigenvalues in [-1e-9, 0) are clamped.
 
     Eigenvalues below the numerical rank tolerance are zeroed outright:
     sqrt() would otherwise inflate eigh noise of order 1e-17 into spurious
@@ -160,8 +151,23 @@ def psd_sqrt(p) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     if w.size:
         w[w < w[0] * 1e-14] = 0.0
-    v = dec.eigenvectors
+    return w, dec.eigenvectors
+
+
+def psd_sqrt(p) -> np.ndarray:
+    """Hermitian PSD square root under the rank policy of ``_psd_eig``."""
+    w, v = _psd_eig(p)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def psd_factor(p) -> np.ndarray:
+    """Rank-revealing factor F with F F^dag = p.
+
+    Its columns are sqrt(w_i) v_i over the eigenvalues ``psd_sqrt`` keeps.
+    """
+    w, v = _psd_eig(p)
+    keep = w > 0.0
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def singular_values(m) -> np.ndarray:

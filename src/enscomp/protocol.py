@@ -3,27 +3,31 @@
 ``js_protocol`` runs the plain Jozsa-Schumacher scheme on a memoryless
 source: project each length-n signal sequence onto the span of the m most
 probable eigenvalue strings of rho^(x)n, substituting a fixed junk state on
-projection failure.  ``extension_protocol`` first replaces every (block of)
-signal state(s) by its extension under an assignment, JS-compresses k such
-blocks, and lets the receiver trace out all ancilla factors.
+projection failure.  ``extension_protocol`` is the same scheme run on the
+extended block signals, after which the receiver traces out all ancilla
+factors.
 
-Per-sequence fidelities never materialize the d^n-dimensional operators:
-with V the typical basis, everything reduces to the m x m matrix
-V^dag sigma V, whose entries factor into products of per-position Gram
-matrices in the source eigenbasis.  A dense reference route
-(``js_compress_sequence`` + Uhlmann fidelity) is kept for cross-checking.
+Both share one exact/Monte-Carlo sequence loop and one per-sequence fidelity
+kernel, which never materializes a d^n-dimensional operator.  With V the
+typical basis and the compressed state V Y V^dag, Uhlmann's theorem gives
+F = ||stack_j L^dag X_j||_1^2 for Y = L L^dag and a target sigma = A A^dag
+seen through X_j = V^dag (A (x) |j>), j running over the traced ancilla
+basis.  X factors position by position like the typical strings.  When the
+input rank product Q is below m, L = [u, sqrt(delta) e_0] with u = V^dag A
+the input rows and delta the junk mass; otherwise Y comes from per-position
+Gram matrices, is diagonalized in the m-dim space, and its rank-revealing
+eigen-factor is the L of the traced output.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from math import prod
 
 import numpy as np
 
 from . import linalg
 from .errors import BoundViolationError, DimensionGuardError, ValidationError
 from .extopt import ExtensionAssignment, extended_ensemble
-from .fidelity import PureState
 from .states import DensityMatrix, Ensemble, ensemble_density, product_ensemble
 
 # eigenvalues at or below this never produce typical strings
@@ -34,7 +38,7 @@ EXACT_SEQUENCE_THRESHOLD = 4096
 EXACT_HARD_LIMIT = 65536
 DEFAULT_MC_SAMPLES = 1024
 
-# element budget for materializing basis/projector matrices
+# element budget for the per-sequence arrays of the fidelity kernel
 MATERIALIZE_ELEMENT_BUDGET = 2 ** 24
 
 
@@ -50,32 +54,6 @@ class TypicalSubspace:
     source_eigenvalues: np.ndarray  # kept (nonzero), descending
     source_eigenvectors: np.ndarray  # source_dim x len(kept), columns
     source_dim: int
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """Basis vectors as columns of a (source_dim**n) x dim matrix."""
-        full = self.source_dim ** self.block_length
-        if full * self.dim > MATERIALIZE_ELEMENT_BUDGET:
-            raise DimensionGuardError(
-                f"basis matrix of {full}x{self.dim} exceeds the element budget"
-            )
-        cols = np.empty((full, self.dim), dtype=np.complex128)
-        for j, s in enumerate(self.strings):
-            cols[:, j] = linalg.kron_vec_all(
-                [self.source_eigenvectors[:, t] for t in s]
-            )
-        return cols
-
-    @property
-    def basis_states(self) -> list[PureState]:
-        dims = (self.source_dim,) * self.block_length
-        return [PureState(self.basis[:, j], dims) for j in range(self.dim)]
-
-    def projector(self) -> np.ndarray:
-        v = self.basis
-        if v.shape[0] ** 2 > MATERIALIZE_ELEMENT_BUDGET:
-            raise DimensionGuardError("projector matrix exceeds the element budget")
-        return v @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -170,23 +148,6 @@ def typical_subspace(
     )
 
 
-def js_compress_sequence(seq: DensityMatrix, ts: TypicalSubspace) -> DensityMatrix:
-    """Dense reference route for the JS map P sigma P + Tr[(I-P) sigma] tau.
-
-    The junk state tau is the projector onto the first (most probable)
-    typical basis vector, so the output is supported inside the subspace.
-    """
-    full = ts.source_dim ** ts.block_length
-    if seq.dim != full:
-        raise ValidationError(f"sequence dim {seq.dim} != subspace ambient dim {full}")
-    v = ts.basis
-    y = v.conj().T @ seq.matrix @ v
-    y[0, 0] += 1.0 - float(np.trace(y).real)
-    out = v @ y @ v.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, seq.factor_dims)
-
-
 def _subspace_grams(ts: TypicalSubspace, source_states) -> list[np.ndarray]:
     """Per-source-state Gram matrices in the kept eigenbasis of the source."""
     v = ts.source_eigenvectors
@@ -212,6 +173,90 @@ def _fidelity_in_subspace(gm: np.ndarray, y: np.ndarray) -> float:
     z = sy @ gm @ sy
     wz = np.clip(np.linalg.eigvalsh((z + z.conj().T) / 2.0), 0.0, None)
     return float(np.sum(np.sqrt(wz)) ** 2)
+
+
+def _amplitude_factors(ts: TypicalSubspace, states, anc_dim: int = 1) -> list[np.ndarray]:
+    """Per-state E[s, j, r] = <v_s| (A (x) |j>) |r> for A A^dag = the state.
+
+    v_s runs over the kept source eigenvectors, whose space is the state's
+    space (x) an ancilla of dimension ``anc_dim`` on the fast index.
+    """
+    v = ts.source_eigenvectors.conj()
+    v = v.reshape(-1, anc_dim, v.shape[1])
+    return [np.einsum("xjs,xr->sjr", v, linalg.psd_factor(st.matrix)) for st in states]
+
+
+def _sequence_rows(ts: TypicalSubspace, factors, seq) -> np.ndarray:
+    """X[s, j, r] = prod_t E_{c_t}[s_t, j_t, r_t], an m x J x R array.
+
+    The combined indices j and r put the last position slowest, which keeps
+    the broadcast's inner axis long; no caller depends on their order.  The
+    C-ordered product makes the reshape a view instead of a copy.
+    """
+    s = ts.strings
+    x = np.ones((ts.dim, 1, 1), dtype=np.complex128)
+    for t, c in enumerate(seq):
+        f = factors[c][s[:, t]]
+        x = np.multiply(f[:, :, None, :, None], x[:, None, :, None, :], order="C")
+        x = x.reshape(ts.dim, x.shape[1] * x.shape[2], x.shape[3] * x.shape[4])
+    return x
+
+
+def _uhlmann(l: np.ndarray, x: np.ndarray) -> float:
+    """F = ||stack_j L^dag X_j||_1^2, for Y = L L^dag and X as m x J x R.
+
+    The row order of the stack does not change its singular values, so the
+    j-major layout of X needs no transposed copy.
+    """
+    b = (l.conj().T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[2])
+    return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
+
+
+def _check_budget(elements: int) -> None:
+    if elements > MATERIALIZE_ELEMENT_BUDGET:
+        raise DimensionGuardError(
+            f"per-sequence array of {elements} elements exceeds the element budget"
+        )
+
+
+def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1):
+    """Per-sequence fidelities of JS compression of products of ``states``.
+
+    Returns seq -> (F, None), F between each input sequence and its output.
+    With ``targets`` (the original signals of extended ``states``) it returns
+    seq -> (F, F_ext): F between the original sequence and the output with
+    every ancilla traced out, F_ext the pre-trace fidelity.
+    """
+    m = ts.dim
+    grams = _subspace_grams(ts, states)
+    inputs = _amplitude_factors(ts, states)
+    outputs = None if targets is None else _amplitude_factors(ts, targets, anc_dim)
+
+    def fidelities(seq) -> tuple[float, float | None]:
+        q = prod(inputs[c].shape[2] for c in seq)
+        _check_budget(m * q if q < m else m * m)
+        if outputs is not None:
+            _check_budget(m * anc_dim ** len(seq) * prod(outputs[c].shape[2] for c in seq))
+        if q < m:
+            u = _sequence_rows(ts, inputs, seq)
+            l = np.zeros((m, q + 1), dtype=np.complex128)
+            l[:, :q] = u[:, 0, :]
+            l[0, q] = np.sqrt(max(1.0 - float(np.vdot(u, u).real), 0.0))
+            fid = _uhlmann(l, u)
+        else:
+            gm, y = _sequence_y(ts, grams, seq)
+            fid = _fidelity_in_subspace(gm, y)
+            l = None if outputs is None else linalg.psd_factor(y)
+        if outputs is None:
+            return fid, None
+        traced = min(_uhlmann(l, _sequence_rows(ts, outputs, seq)), 1.0)
+        if traced < fid - 1e-9:
+            raise BoundViolationError(
+                f"partial trace reduced fidelity: {traced} < {fid}"
+            )
+        return traced, fid
+
+    return fidelities
 
 
 def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
@@ -241,11 +286,49 @@ def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, i
     return counts
 
 
-def _aggregate_mc(fid_by_seq: dict[tuple, float], counts: dict[tuple, int], count: int):
-    mean = sum(fid_by_seq[s] * c for s, c in counts.items()) / count
-    var = sum(c * (fid_by_seq[s] - mean) ** 2 for s, c in counts.items())
-    var /= max(count - 1, 1)
-    return float(mean), float(np.sqrt(var / count))
+def _simulate(
+    probs: np.ndarray,
+    length: int,
+    fidelities,
+    ts: TypicalSubspace,
+    signals: int,
+    sampling: str,
+    mc_samples: int,
+    seed: int,
+) -> ProtocolResult:
+    """The exact/Monte-Carlo sequence loop shared by both protocols.
+
+    Exact mode weighs every sequence of ``length`` signal indices by its
+    probability; Monte-Carlo mode weighs each distinct draw by its count.
+    ``fidelities`` maps a sequence to (F, F_ext or None).
+    """
+    exact = _resolve_sampling(sampling, len(probs) ** length)
+    if exact:
+        draws = dict.fromkeys(itertools.product(range(len(probs)), repeat=length))
+    else:
+        draws = _mc_draws(probs, length, mc_samples, seed)
+    records, ext = [], []
+    for s in sorted(draws):
+        f, fe = fidelities(s)
+        records.append(SequenceRecord(s, float(np.prod(probs[list(s)])), f, draws[s]))
+        ext.append(fe)
+    w = np.array([r.probability if exact else r.draws / mc_samples for r in records])
+    f = np.array([r.fidelity for r in records])
+    avg = float(w @ f)
+    stderr = None
+    if not exact:
+        stderr = float(np.sqrt(w @ (f - avg) ** 2 / max(mc_samples - 1, 1)))
+    return ProtocolResult(
+        block_length=signals,
+        channel_dim=ts.dim,
+        rate=rate_of(ts.dim, signals),
+        avg_fidelity=avg,
+        per_sequence=tuple(records),
+        sampled=not exact,
+        stderr=stderr,
+        seed=seed,
+        ext_avg_fidelity=None if ext[0] is None else float(w @ np.array(ext)),
+    )
 
 
 def js_protocol(
@@ -265,65 +348,9 @@ def js_protocol(
     Uhlmann fidelities between each sequence state and its decompressed
     output, averaged with sequence probabilities.
     """
-    rho0 = ensemble_density(e0)
-    ts = typical_subspace(rho0, n, eps=eps, dim_cap=dim_cap)
-    grams = _subspace_grams(ts, e0.states)
-
-    def seq_fidelity(seq) -> float:
-        gm, y = _sequence_y(ts, grams, seq)
-        return _fidelity_in_subspace(gm, y)
-
-    n_sequences = len(e0) ** n
-    exact = _resolve_sampling(sampling, n_sequences)
-    records = []
-    if exact:
-        avg = 0.0
-        for seq in itertools.product(range(len(e0)), repeat=n):
-            p = float(np.prod(e0.probs[list(seq)]))
-            f = seq_fidelity(seq)
-            avg += p * f
-            records.append(SequenceRecord(seq, p, f))
-        stderr = None
-    else:
-        counts = _mc_draws(e0.probs, n, mc_samples, seed)
-        fid_by_seq = {s: seq_fidelity(s) for s in sorted(counts)}
-        avg, stderr = _aggregate_mc(fid_by_seq, counts, mc_samples)
-        records = [
-            SequenceRecord(s, float(np.prod(e0.probs[list(s)])), fid_by_seq[s], c)
-            for s, c in sorted(counts.items())
-        ]
-    return ProtocolResult(
-        block_length=n,
-        channel_dim=ts.dim,
-        rate=rate_of(ts.dim, n),
-        avg_fidelity=float(avg),
-        per_sequence=tuple(records),
-        sampled=not exact,
-        stderr=stderr,
-        seed=seed,
-    )
-
-
-def _traced_output(ts: TypicalSubspace, y: np.ndarray, block_dim: int, anc_dim: int):
-    """Bob's output: all ancilla factors traced out of V Y V^dag.
-
-    Implemented as B B^dag where B regroups the columns of V sqrt(Y) into
-    (system^k) x (ancilla^k * m), so the big space is never materialized
-    beyond V itself.
-    """
-    k = ts.block_length
-    v = ts.basis  # (block_dim*anc_dim)**k x m
-    wy, vy = np.linalg.eigh((y + y.conj().T) / 2.0)
-    sy = (vy * np.sqrt(np.clip(wy, 0.0, None))) @ vy.conj().T
-    a = v @ sy
-    m = a.shape[1]
-    tensor = a.reshape((block_dim, anc_dim) * k + (m,))
-    sys_axes = tuple(range(0, 2 * k, 2))
-    anc_axes = tuple(range(1, 2 * k, 2))
-    tensor = tensor.transpose(sys_axes + anc_axes + (2 * k,))
-    b = tensor.reshape(block_dim ** k, (anc_dim ** k) * m)
-    omega = b @ b.conj().T
-    return (omega + omega.conj().T) / 2.0
+    ts = typical_subspace(ensemble_density(e0), n, eps=eps, dim_cap=dim_cap)
+    kernel = _fidelity_kernel(ts, e0.states)
+    return _simulate(e0.probs, n, kernel, ts, n, sampling, mc_samples, seed)
 
 
 def extension_protocol(
@@ -353,60 +380,7 @@ def extension_protocol(
             f"assignment system dim {assignment.system_dim} != block dim {e_blk.dim}"
         )
     e_ext = extended_ensemble(e_blk, assignment)
-    block_dim = e_blk.dim
-    anc_dim = assignment.ancilla_dim
-    linalg.check_dim_guard((block_dim * anc_dim) ** k)
-
-    rho_ext = ensemble_density(e_ext)
-    ts = typical_subspace(rho_ext, k, eps=eps, dim_cap=dim_cap)
-    grams = _subspace_grams(ts, e_ext.states)
-    sqrt_blocks = [linalg.psd_sqrt(s.matrix) for s in e_blk.states]
-
-    def seq_fidelities(seq) -> tuple[float, float]:
-        gm, y = _sequence_y(ts, grams, seq)
-        fid_ext = _fidelity_in_subspace(gm, y)
-        omega = _traced_output(ts, y, block_dim, anc_dim)
-        sqrt_orig = linalg.kron_all([sqrt_blocks[c] for c in seq])
-        sqrt_omega = linalg.psd_sqrt(omega)
-        fid = float(np.sum(linalg.singular_values(sqrt_orig @ sqrt_omega)) ** 2)
-        fid = min(fid, 1.0)
-        if fid < fid_ext - 1e-9:
-            raise BoundViolationError(
-                f"partial trace reduced fidelity: {fid} < {fid_ext}"
-            )
-        return fid, fid_ext
-
-    n_sequences = len(e_blk) ** k
-    exact = _resolve_sampling(sampling, n_sequences)
-    records = []
-    if exact:
-        avg = ext_avg = 0.0
-        for seq in itertools.product(range(len(e_blk)), repeat=k):
-            p = float(np.prod(e_blk.probs[list(seq)]))
-            f, fe = seq_fidelities(seq)
-            avg += p * f
-            ext_avg += p * fe
-            records.append(SequenceRecord(seq, p, f))
-        stderr = None
-    else:
-        counts = _mc_draws(e_blk.probs, k, mc_samples, seed)
-        both = {s: seq_fidelities(s) for s in sorted(counts)}
-        fid_by_seq = {s: b[0] for s, b in both.items()}
-        avg, stderr = _aggregate_mc(fid_by_seq, counts, mc_samples)
-        ext_avg = sum(both[s][1] * c for s, c in counts.items()) / mc_samples
-        records = [
-            SequenceRecord(s, float(np.prod(e_blk.probs[list(s)])), fid_by_seq[s], c)
-            for s, c in sorted(counts.items())
-        ]
-    signals = n_block * k
-    return ProtocolResult(
-        block_length=signals,
-        channel_dim=ts.dim,
-        rate=rate_of(ts.dim, signals),
-        avg_fidelity=float(avg),
-        per_sequence=tuple(records),
-        sampled=not exact,
-        stderr=stderr,
-        seed=seed,
-        ext_avg_fidelity=float(ext_avg),
-    )
+    linalg.check_dim_guard(e_ext.dim ** k)
+    ts = typical_subspace(ensemble_density(e_ext), k, eps=eps, dim_cap=dim_cap)
+    kernel = _fidelity_kernel(ts, e_ext.states, e_blk.states, assignment.ancilla_dim)
+    return _simulate(e_blk.probs, k, kernel, ts, n_block * k, sampling, mc_samples, seed)

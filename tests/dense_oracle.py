@@ -1,0 +1,87 @@
+"""Dense reference routes for the protocol module, used as test oracles.
+
+They materialize the typical basis V as a (source_dim**n) x m matrix and
+the compressed state V Y V^dag, so they serve only small cases.  The
+library's fidelity kernel never builds these operators.
+"""
+
+import numpy as np
+
+from enscomp import linalg
+from enscomp.fidelity import PureState
+from enscomp.states import DensityMatrix
+
+
+def kron_vec_all(vecs) -> np.ndarray:
+    """Kronecker product of a sequence of vectors, left to right."""
+    vecs = list(vecs)
+    out = np.asarray(vecs[0], dtype=np.complex128)
+    for v in vecs[1:]:
+        out = np.kron(out, np.asarray(v, dtype=np.complex128))
+    return out
+
+
+def basis(ts) -> np.ndarray:
+    """Typical basis vectors as columns of a (source_dim**n) x dim matrix."""
+    full = ts.source_dim ** ts.block_length
+    cols = np.empty((full, ts.dim), dtype=np.complex128)
+    for j, s in enumerate(ts.strings):
+        cols[:, j] = kron_vec_all([ts.source_eigenvectors[:, t] for t in s])
+    return cols
+
+
+def basis_states(ts) -> list[PureState]:
+    dims = (ts.source_dim,) * ts.block_length
+    v = basis(ts)
+    return [PureState(v[:, j], dims) for j in range(ts.dim)]
+
+
+def projector(ts) -> np.ndarray:
+    v = basis(ts)
+    return v @ v.conj().T
+
+
+def compressed_y(seq: np.ndarray, ts) -> np.ndarray:
+    """Y = V^dag sigma V plus the lost mass on the junk vector e_0."""
+    v = basis(ts)
+    y = v.conj().T @ seq @ v
+    y[0, 0] += 1.0 - float(np.trace(y).real)
+    return y
+
+
+def js_compress_sequence(seq: DensityMatrix, ts) -> DensityMatrix:
+    """The JS map P sigma P + Tr[(I-P) sigma] tau, as a dense matrix.
+
+    The junk state tau is the projector onto the first (most probable)
+    typical basis vector, so the output is supported inside the subspace.
+    """
+    v = basis(ts)
+    out = v @ compressed_y(seq.matrix, ts) @ v.conj().T
+    out = (out + out.conj().T) / 2.0
+    return DensityMatrix(out, seq.factor_dims)
+
+
+def traced_output(ts, y: np.ndarray, block_dim: int, anc_dim: int) -> np.ndarray:
+    """All ancilla factors traced out of V Y V^dag, as B B^dag.
+
+    B regroups the columns of V sqrt(Y) into (system^k) x (ancilla^k * m).
+    """
+    k = ts.block_length
+    a = basis(ts) @ linalg.psd_sqrt(y)
+    tensor = a.reshape((block_dim, anc_dim) * k + (ts.dim,))
+    axes = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)) + (2 * k,)
+    b = tensor.transpose(axes).reshape(block_dim ** k, -1)
+    omega = b @ b.conj().T
+    return (omega + omega.conj().T) / 2.0
+
+
+def ep_traced_fidelity(ts, ext_states, block_states, anc_dim: int, seq) -> float:
+    """F(sigma, omega) for the original block sequence sigma and Bob's output.
+
+    Uhlmann fidelity (Tr |sqrt(sigma) sqrt(omega)|)^2 from dense square roots.
+    """
+    ext = linalg.kron_all([ext_states[c].matrix for c in seq])
+    omega = traced_output(ts, compressed_y(ext, ts), block_states[0].dim, anc_dim)
+    sqrt_orig = linalg.kron_all([linalg.psd_sqrt(block_states[c].matrix) for c in seq])
+    sv = linalg.singular_values(sqrt_orig @ linalg.psd_sqrt(omega))
+    return min(float(np.sum(sv) ** 2), 1.0)

@@ -126,6 +126,15 @@ def test_psd_sqrt_rejects_negative():
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
 
 
+def test_psd_factor_keeps_only_the_rank(rng):
+    p = rand_density(rng, 4, rank=2).matrix
+    f = linalg.psd_factor(p)
+    assert f.shape == (4, 2)
+    assert np.abs(f @ f.conj().T - p).max() < 1e-12
+    r = linalg.psd_sqrt(p)
+    assert np.abs(f @ f.conj().T - r @ r).max() < 1e-12
+
+
 def test_singular_values_cases(rng):
     assert np.allclose(linalg.singular_values(np.diag([2.0, -3.0])), [3.0, 2.0])
     u = rng.normal(size=3) + 1j * rng.normal(size=3)

@@ -8,6 +8,7 @@ from enscomp.errors import DimensionGuardError, ValidationError
 from enscomp.fidelity import fidelity
 from enscomp.states import DensityMatrix, Ensemble
 
+import dense_oracle
 from conftest import rand_density, rand_pure_density
 
 
@@ -62,10 +63,10 @@ def test_typical_subspace_flat_spectrum():
 def test_typical_subspace_projector_invariants(rng):
     rho = rand_density(rng, 2)
     ts = protocol.typical_subspace(rho, 3, eps=0.1)
-    p = ts.projector()
+    p = dense_oracle.projector(ts)
     assert np.abs(p - p.conj().T).max() < 1e-9
     assert np.abs(p @ p - p).max() < 1e-9
-    assert ts.dim == len(ts.basis_states)
+    assert ts.dim == len(dense_oracle.basis_states(ts))
     rho_n = rho.matrix
     for _ in range(2):
         rho_n = linalg.tensor_product(rho_n, rho.matrix)
@@ -95,23 +96,23 @@ def test_js_compress_sequence_cases(rng):
     e = zero_plus_pair()
     ts = protocol.typical_subspace(states.ensemble_density(e), 3, dim_cap=4)
     # a state already inside the subspace is unchanged
-    inside_vec = ts.basis[:, 1]
+    v = dense_oracle.basis(ts)
+    inside_vec = v[:, 1]
     inside = DensityMatrix(np.outer(inside_vec, inside_vec.conj()), (2, 2, 2))
-    out = protocol.js_compress_sequence(inside, ts)
+    out = dense_oracle.js_compress_sequence(inside, ts)
     assert np.abs(out.matrix - inside.matrix).max() < 1e-10
     # an orthogonal state maps to the junk projector
     full = np.eye(8, dtype=complex)
-    v = ts.basis
     perp = full - v @ v.conj().T
     w, vec = np.linalg.eigh(perp)
     ortho_vec = vec[:, -1]
     ortho = DensityMatrix(np.outer(ortho_vec, ortho_vec.conj()), (2, 2, 2))
-    out = protocol.js_compress_sequence(ortho, ts)
-    junk = np.outer(ts.basis[:, 0], ts.basis[:, 0].conj())
+    out = dense_oracle.js_compress_sequence(ortho, ts)
+    junk = np.outer(v[:, 0], v[:, 0].conj())
     assert np.abs(out.matrix - junk).max() < 1e-9
     # random sequence keeps unit trace and stays a valid state in the subspace
     seq = rand_density(rng, 8, dims=(2, 2, 2))
-    out = protocol.js_compress_sequence(seq, ts)
+    out = dense_oracle.js_compress_sequence(seq, ts)
     assert abs(np.trace(out.matrix) - 1.0) < 1e-10
     assert np.abs((np.eye(8) - v @ v.conj().T) @ out.matrix).max() < 1e-9
 
@@ -120,15 +121,18 @@ def test_js_fast_path_matches_dense_route(rng):
     e = zero_plus_pair()
     ts = protocol.typical_subspace(states.ensemble_density(e), 4, dim_cap=6)
     grams = protocol._subspace_grams(ts, e.states)
+    kernel = protocol._fidelity_kernel(ts, e.states)
     for seq in [(0, 0, 1, 1), (1, 0, 1, 0), (1, 1, 1, 1)]:
         sig = DensityMatrix(
             linalg.kron_all([e.states[c].matrix for c in seq]), (2,) * 4
         )
-        dense = protocol.js_compress_sequence(sig, ts)
+        dense = dense_oracle.js_compress_sequence(sig, ts)
         f_dense = fidelity(sig, dense)
         gm, y = protocol._sequence_y(ts, grams, seq)
         f_fast = protocol._fidelity_in_subspace(gm, y)
         assert abs(f_dense - f_fast) < 1e-7
+        f_rows, _ = kernel(seq)  # rank-1 signals: Q = 1 < m, the rows route
+        assert abs(f_dense - f_rows) < 1e-7
 
 
 def test_js_protocol_single_pure_source(rng):
@@ -176,7 +180,7 @@ def test_js_protocol_rate_covers_compressed_support(rng):
     for seq in itertools.product(range(2), repeat=n):
         p = float(np.prod(e.probs[list(seq)]))
         sig = DensityMatrix(linalg.kron_all([e.states[c].matrix for c in seq]), (2,) * 3)
-        acc += p * protocol.js_compress_sequence(sig, ts).matrix
+        acc += p * dense_oracle.js_compress_sequence(sig, ts).matrix
     compressed = DensityMatrix(acc, (2,) * 3)
     assert res.rate >= np.log2(states.support_dim(compressed)) / n - 1e-9
 
@@ -254,3 +258,81 @@ def test_protocol_result_invariants(rng):
     assert abs(res.rate - np.log2(res.channel_dim) / res.block_length) < 1e-12
     assert 0.0 <= res.avg_fidelity <= 1.0
     assert abs(sum(r.probability for r in res.per_sequence) - 1.0) < 1e-10
+
+
+def _random_mixed_ensemble(rng, count):
+    ranks = rng.integers(1, 3, size=count)
+    p = rng.uniform(0.1, 1.0, size=count)
+    return Ensemble(p / p.sum(), tuple(rand_density(rng, 2, rank=int(r)) for r in ranks))
+
+
+def test_kernel_matches_dense_oracle_random_mixed():
+    # Per-sequence fidelities of both routes (rows for Q < m, Gram for Q >= m)
+    # against the dense oracle.  The JS budget 1e-7 is the dense route's own
+    # error (psd_sqrt inside the nested-sqrt fidelity); the traced EP output
+    # uses the same Uhlmann form on both sides and agrees to rounding.
+    rng = np.random.default_rng(4417)
+    routes = set()
+    for _ in range(12):
+        e = _random_mixed_ensemble(rng, int(rng.integers(2, 4)))
+        ranks = [states.support_dim(s) for s in e.states]
+        n = int(rng.integers(2, 5))
+        cap = int(rng.integers(1, 2 ** n + 1))
+        res = protocol.js_protocol(e, n, dim_cap=cap, sampling="exact")
+        ts = protocol.typical_subspace(states.ensemble_density(e), n, dim_cap=cap)
+        for rec in res.per_sequence:
+            sig = DensityMatrix(
+                linalg.kron_all([e.states[c].matrix for c in rec.indices]), (2,) * n
+            )
+            dense = fidelity(sig, dense_oracle.js_compress_sequence(sig, ts))
+            assert abs(rec.fidelity - dense) < 1e-7
+            routes.add(np.prod([ranks[c] for c in rec.indices]) < ts.dim)
+
+        k = int(rng.integers(1, 4))
+        q = int(rng.integers(1, 3))
+        assignment = extopt.ExtensionAssignment(
+            2, 2, q, tuple(rng.normal(size=extopt.param_count(2, q)) for _ in e.states)
+        )
+        e_ext = extopt.extended_ensemble(e, assignment)
+        cap = int(rng.integers(1, 4 ** k + 1))
+        ep = protocol.extension_protocol(e, 1, assignment, k, dim_cap=cap, sampling="exact")
+        ts = protocol.typical_subspace(states.ensemble_density(e_ext), k, dim_cap=cap)
+        pre = 0.0
+        for rec in ep.per_sequence:
+            dense = dense_oracle.ep_traced_fidelity(ts, e_ext.states, e.states, 2, rec.indices)
+            assert abs(rec.fidelity - dense) < 1e-12
+            ext = linalg.kron_all([e_ext.states[c].matrix for c in rec.indices])
+            sig = DensityMatrix(ext, (4,) * k)
+            pre += rec.probability * fidelity(
+                sig, dense_oracle.js_compress_sequence(sig, ts)
+            )
+        assert abs(ep.ext_avg_fidelity - pre) < 1e-7
+    assert routes == {True, False}
+
+
+def test_fidelity_kernel_element_budget(monkeypatch):
+    # per-sequence arrays over the budget end the run with DimensionGuardError
+    # (CLI exit 4) before they are allocated, on both protocols and routes
+    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 15)
+    e = zero_plus_pair()
+    protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")  # rows: 3 x 1
+    with pytest.raises(DimensionGuardError):
+        protocol.js_protocol(e, 4, dim_cap=16, sampling="exact")  # rows: 16 x 1
+    mixed = orthogonal_pair()
+    with pytest.raises(DimensionGuardError):
+        protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Gram: 4 x 4
+    triv = extopt.trivial_assignment(mixed, 2, 2)
+    # Gram 3 x 3 fits; the traced rows m x J x R = 3 x 4 x 4 do not
+    with pytest.raises(DimensionGuardError):
+        protocol.extension_protocol(mixed, 1, triv, 2, dim_cap=3, sampling="exact")
+
+
+def test_extension_protocol_zero_plus_no_false_alarm():
+    # Here tracing the ancillas gains nothing (F = F_ext), so an overshoot of
+    # the pre-trace fidelity beyond 1e-9 raises a false BoundViolationError.
+    e = zero_plus_pair()
+    cfg = extopt.OptimizerConfig(seed=101, ancilla_dim=2, purifier_dim=2)
+    best = extopt.minimize_extension_entropy(e, cfg).best_assignment
+    ep = protocol.extension_protocol(e, 1, best, 6, eps=0.05, sampling="exact")
+    assert ep.avg_fidelity >= ep.ext_avg_fidelity - 1e-9
+    assert ep.ext_avg_fidelity >= 0.95 ** 2
