@@ -107,6 +107,10 @@ def typical_subspace(
     """
     if (eps is None) == (dim_cap is None):
         raise ValidationError("give exactly one of eps or dim_cap")
+    if eps is not None and not 0.0 <= eps < 1.0:
+        raise ValidationError("eps must be in [0, 1)")
+    if dim_cap is not None and dim_cap < 1:
+        raise ValidationError("dim_cap must be >= 1")
     if n < 1:
         raise ValidationError("block length must be >= 1")
     d = rho.dim
@@ -118,22 +122,18 @@ def typical_subspace(
     vecs = dec.eigenvectors[:, keep]
     r = len(w)
 
-    strings = np.array(list(itertools.product(range(r), repeat=n)), dtype=np.intp)
+    strings = np.indices((r,) * n, dtype=np.intp).reshape(n, -1).T
     probs = np.prod(w[strings], axis=1)
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], tuple(strings[i])))
+    # Rows are lexicographic, so a stable sort breaks exact ties the same way.
+    order = np.argsort(-probs, kind="stable")
     strings = strings[order]
     probs = probs[order]
     cum = np.cumsum(probs)
 
     if eps is not None:
-        if not 0.0 <= eps < 1.0:
-            raise ValidationError("eps must be in [0, 1)")
-        target = 1.0 - eps
-        hit = np.flatnonzero(cum >= target - 1e-15)
+        hit = np.flatnonzero(cum >= 1.0 - eps - 1e-15)
         m = int(hit[0]) + 1 if hit.size else len(probs)
     else:
-        if dim_cap < 1:
-            raise ValidationError("dim_cap must be >= 1")
         m = min(int(dim_cap), len(probs))
 
     return TypicalSubspace(

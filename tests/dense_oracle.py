@@ -2,14 +2,39 @@
 
 They materialize the typical basis V as a (source_dim**n) x m matrix and
 the compressed state V Y V^dag, so they serve only small cases.  The
-library's fidelity kernel never builds these operators.
+library's fidelity kernel never builds these operators.  ``typical_strings``
+is the loop-and-sort reference for the string order of ``typical_subspace``.
 """
+
+import itertools
 
 import numpy as np
 
 from enscomp import linalg
 from enscomp.fidelity import PureState
 from enscomp.states import DensityMatrix
+
+
+def typical_strings(w, n: int, *, eps=None, dim_cap=None):
+    """(strings, probs, dim, retained_mass) of the top eigen-strings.
+
+    ``w`` holds the kept source eigenvalues.  All r^n strings are listed with
+    itertools and sorted in Python by (-probability, string), so probability
+    ties break lexicographically.
+    """
+    w = np.asarray(w, dtype=float)
+    strings = np.array(list(itertools.product(range(len(w)), repeat=n)), dtype=np.intp)
+    probs = np.prod(w[strings], axis=1)
+    order = sorted(range(len(probs)), key=lambda i: (-probs[i], tuple(strings[i])))
+    strings = strings[order]
+    probs = probs[order]
+    cum = np.cumsum(probs)
+    if eps is not None:
+        hit = np.flatnonzero(cum >= 1.0 - eps - 1e-15)
+        m = int(hit[0]) + 1 if hit.size else len(probs)
+    else:
+        m = min(int(dim_cap), len(probs))
+    return strings[:m], probs[:m], m, float(cum[m - 1])
 
 
 def kron_vec_all(vecs) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enscomp import extopt, linalg, protocol, states
 from enscomp.errors import DimensionGuardError, ValidationError
@@ -88,8 +89,74 @@ def test_typical_subspace_argument_validation(rng):
         protocol.typical_subspace(rho, 2)
     with pytest.raises(ValidationError):
         protocol.typical_subspace(rho, 2, eps=0.1, dim_cap=3)
+    for bad in ({"eps": -0.1}, {"eps": 1.0}, {"dim_cap": 0}):
+        with pytest.raises(ValidationError):
+            protocol.typical_subspace(rho, 2, **bad)
     with pytest.raises(DimensionGuardError):
         protocol.typical_subspace(rand_density(rng, 4), 8, eps=0.1)
+    # a bad target is reported as such before the size guard runs
+    with pytest.raises(ValidationError):
+        protocol.typical_subspace(rand_density(rng, 4), 8, eps=1.5)
+
+
+def test_typical_subspace_matches_sorted_oracle(rng):
+    spectra = {
+        "flat qubit": np.eye(2) / 2,
+        "flat qutrit": np.eye(3) / 3,
+        "diag(.5,.25,.25)": np.diag([0.5, 0.25, 0.25]),
+        "rank-deficient": np.diag([0.5, 0.5, 0.0, 0.0]),
+        "d=1": np.eye(1),
+        "random": rand_density(rng, 3).matrix,
+    }
+    targets = [{"eps": e} for e in (0.0, 0.05, 0.3)]
+    targets += [{"dim_cap": c} for c in (1, 3, 4, 5, 10 ** 6)]
+    tie_cuts = 0
+    for name, m in spectra.items():
+        rho = DensityMatrix(m, (m.shape[0],))
+        w = protocol.typical_subspace(rho, 1, dim_cap=1).source_eigenvalues
+        for n in (1, 2, 3, 4):
+            all_probs = dense_oracle.typical_strings(w, n, dim_cap=10 ** 6)[1]
+            for target in targets:
+                ts = protocol.typical_subspace(rho, n, **target)
+                strings, probs, dim, mass = dense_oracle.typical_strings(w, n, **target)
+                case = (name, n, target)
+                assert np.array_equal(ts.strings, strings), case
+                assert np.array_equal(ts.string_probs, probs), case
+                assert ts.dim == dim, case
+                assert ts.retained_mass == mass, case
+                tie_cuts += dim < len(all_probs) and all_probs[dim] == all_probs[dim - 1]
+    # the tie rule is exercised: some caps end inside a class of equal strings
+    assert tie_cuts > 0
+
+
+_spectra = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+).filter(lambda ws: sum(ws) > 0.05)
+_targets = st.one_of(
+    st.builds(dict, eps=st.floats(0.0, 0.99)),
+    st.builds(dict, dim_cap=st.integers(1, 5000)),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(ws=_spectra, n=st.integers(1, 6), target=_targets)
+def test_typical_subspace_properties(ws, n, target):
+    w = np.array(ws, dtype=float) / sum(ws)
+    ts = protocol.typical_subspace(DensityMatrix(np.diag(w), (len(w),)), n, **target)
+    p = ts.string_probs
+    assert len(p) == ts.dim == len(ts.strings)
+    assert np.all(np.diff(p) <= 0.0)
+    cum = np.cumsum(p)
+    assert ts.retained_mass == cum[-1] <= 1.0 + 1e-12
+    total = len(ts.source_eigenvalues) ** n
+    if "dim_cap" in target:
+        assert ts.dim == min(target["dim_cap"], total)
+    else:
+        goal = 1.0 - target["eps"] - 1e-15
+        # minimal: one string fewer misses the mass target
+        assert ts.dim == 1 or cum[-2] < goal
+        assert ts.dim == total or cum[-1] >= goal
 
 
 def test_js_compress_sequence_cases(rng):
