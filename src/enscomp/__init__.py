@@ -26,7 +26,6 @@ from .extopt import (
     MinimizeResult,
     OptimizerConfig,
     assignment_entropy,
-    embed_assignment,
     entropy_gradient,
     extended_ensemble,
     extension_from_params,
@@ -36,7 +35,6 @@ from .extopt import (
 )
 from .fidelity import (
     PureState,
-    average_fidelity,
     canonical_purification,
     fidelity,
     lemma_extension,

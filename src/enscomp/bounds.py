@@ -16,6 +16,10 @@ CONTINUITY_FIDELITY_FLOOR = 1.0 - 1.0 / 36.0
 
 ENVELOPE_TOL = 1e-6
 
+# A protocol run's rate is checked against the Holevo bound only when its
+# average fidelity reaches this threshold (the report name records it).
+HOLEVO_FIDELITY_THRESHOLD = 0.99
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -46,16 +50,14 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool = True) -> Bound
     )
 
 
-def holevo_bound_check(
-    e: Ensemble, measured_rate: float, fidelity_threshold: float = 0.99
-) -> BoundReport:
+def holevo_bound_check(e: Ensemble, measured_rate: float) -> BoundReport:
     """Check I_LH(e) <= measured rate (qubits/signal).
 
     The rate must come from a protocol run whose average fidelity reached at
-    least ``fidelity_threshold``; the threshold is recorded in the report name.
+    least ``HOLEVO_FIDELITY_THRESHOLD``.
     """
     return _report(
-        f"holevo_rate(fid>={fidelity_threshold:g})",
+        f"holevo_rate(fid>={HOLEVO_FIDELITY_THRESHOLD:g})",
         holevo_quantity(e),
         measured_rate,
     )

@@ -18,7 +18,9 @@ violation, 4 resource guard.
 """
 
 import argparse
+import dataclasses
 import json
+import operator
 import sys
 import time
 
@@ -80,17 +82,26 @@ def load_ensemble(path: str) -> states.Ensemble:
         raise EnsembleParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(payload, dict):
+        raise EnsembleParseError(f"{path}: top level must be a JSON object")
     for key in ("probs", "states", "factor_dims"):
         if key not in payload:
             raise EnsembleParseError(f"{path}: missing field {key!r}")
-    probs = np.asarray(payload["probs"], dtype=float)
+    if not isinstance(payload["states"], list):
+        raise EnsembleParseError(f"{path}: states must be a list")
+    try:
+        probs = np.asarray(payload["probs"], dtype=float)
+        dims = tuple(operator.index(d) for d in payload["factor_dims"])
+    except (TypeError, ValueError) as exc:
+        raise EnsembleParseError(
+            f"{path}: probs must be numbers and factor_dims a list of integers ({exc})"
+        ) from exc
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(
             f"probability sum {total!r} deviates from 1 by more than 1e-9"
         )
     probs = probs / total
-    dims = tuple(int(d) for d in payload["factor_dims"])
     sts = []
     for k, rows in enumerate(payload["states"]):
         try:
@@ -135,13 +146,15 @@ def assignment_to_payload(a: extopt.ExtensionAssignment) -> dict:
 def assignment_from_payload(payload: dict) -> extopt.ExtensionAssignment:
     try:
         return extopt.ExtensionAssignment(
-            int(payload["system_dim"]),
-            int(payload["ancilla_dim"]),
-            int(payload["purifier_dim"]),
+            operator.index(payload["system_dim"]),
+            operator.index(payload["ancilla_dim"]),
+            operator.index(payload["purifier_dim"]),
             tuple(np.asarray(p, dtype=float) for p in payload["params"]),
         )
     except KeyError as exc:
         raise EnsembleParseError(f"assignment file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise EnsembleParseError(f"assignment file has a malformed field ({exc})") from exc
 
 
 def load_assignment(path: str) -> extopt.ExtensionAssignment:
@@ -153,7 +166,7 @@ def load_assignment(path: str) -> extopt.ExtensionAssignment:
     except json.JSONDecodeError as exc:
         raise EnsembleParseError(f"{path}: invalid JSON: {exc.msg}") from exc
     # accept both a bare assignment and the minimize-run sidecar wrapper
-    if "assignment" in payload:
+    if isinstance(payload, dict) and "assignment" in payload:
         payload = payload["assignment"]
     return assignment_from_payload(payload)
 
@@ -171,17 +184,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
-def _bound_dict(r: bounds.BoundReport) -> dict:
-    return {
-        "name": r.name,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "satisfied": r.satisfied,
-        "slack": r.slack,
-        "applicable": r.applicable,
-    }
-
-
 def _emit(args, header, rows, reports, extra=None) -> None:
     cfg = _config_echo(args)
     if args.format == "json":
@@ -190,7 +192,7 @@ def _emit(args, header, rows, reports, extra=None) -> None:
             "version": __version__,
             "config": {k: str(v) for k, v in cfg.items()},
             "seed": args.seed,
-            "bounds": [_bound_dict(r) for r in reports],
+            "bounds": [dataclasses.asdict(r) for r in reports],
             "columns": list(header),
             "rows": [[x for x in row] for row in rows],
         }
@@ -252,15 +254,12 @@ def cmd_analyze(args) -> int:
 
 
 def _optimizer_config(args) -> extopt.OptimizerConfig:
-    purifier = args.purifier_dim
-    if args.pure_extensions:
-        purifier = 1
     return extopt.OptimizerConfig(
         multistarts=args.multistarts,
         max_iters=args.max_iters,
         seed=args.seed,
         ancilla_dim=args.ancilla_dim,
-        purifier_dim=purifier,
+        purifier_dim=1 if args.pure_extensions else args.purifier_dim,
         n_block=args.n_block,
     )
 
@@ -288,16 +287,14 @@ def cmd_minimize(args) -> int:
                 h.start_index == best_index,
             )
         )
-    payload = assignment_to_payload(result.best_assignment)
-    extra = {"best_entropy": result.best_entropy, "assignment": payload}
-    _emit(args, MINIMIZE_HEADER, rows, [report], extra if args.format == "json" else None)
+    extra = {
+        "best_entropy": result.best_entropy,
+        "assignment": assignment_to_payload(result.best_assignment),
+    }
+    _emit(args, MINIMIZE_HEADER, rows, [report], extra)
     if args.format == "csv" and args.out:
         with open(args.out + ".assignment.json", "w") as fh:
-            json.dump(
-                {"best_entropy": result.best_entropy, "assignment": payload},
-                fh,
-                sort_keys=True,
-            )
+            json.dump(extra, fh, sort_keys=True)
             fh.write("\n")
     _check_reports([report])
     return 0
@@ -305,7 +302,7 @@ def cmd_minimize(args) -> int:
 
 def _simulate_reports(e, res) -> list:
     reports = []
-    if res.avg_fidelity >= 0.99:
+    if res.avg_fidelity >= bounds.HOLEVO_FIDELITY_THRESHOLD:
         reports.append(bounds.holevo_bound_check(e, res.rate))
     return reports
 
@@ -321,104 +318,68 @@ def _result_row(swept_value, res):
     )
 
 
-def cmd_simulate_js(args) -> int:
-    e = load_ensemble(args.ensemble)
-    res = protocol.js_protocol(
-        e,
-        args.n,
-        eps=args.eps,
-        dim_cap=args.dim_cap,
-        sampling=args.sampling,
-        mc_samples=args.samples,
-        seed=args.seed,
-    )
-    reports = _simulate_reports(e, res)
-    _emit(args, SIMULATE_HEADER, [_result_row(args.n, res)], reports,
-          _json_result_extra(res))
-    _check_reports(reports)
-    return 0
-
-
 def _json_result_extra(res) -> dict:
     return {
         "sampled": res.sampled,
         "ext_avg_fidelity": res.ext_avg_fidelity,
-        "per_sequence": [
-            {
-                "indices": list(r.indices),
-                "probability": r.probability,
-                "fidelity": r.fidelity,
-                "draws": r.draws,
-            }
-            for r in res.per_sequence
-        ],
+        "per_sequence": [dataclasses.asdict(r) for r in res.per_sequence],
     }
 
 
 def _resolve_assignment(args, e) -> extopt.ExtensionAssignment:
-    blocked = states.product_ensemble(e, args.n_block) if args.n_block > 1 else e
     if args.assignment:
         return load_assignment(args.assignment)
-    if args.trivial:
-        purifier = 1 if args.pure_extensions else args.purifier_dim
-        return extopt.trivial_assignment(blocked, args.ancilla_dim, purifier)
     cfg = _optimizer_config(args)
+    if args.trivial:
+        blocked = states.product_ensemble(e, args.n_block) if args.n_block > 1 else e
+        return extopt.trivial_assignment(blocked, cfg.ancilla_dim, cfg.purifier_dim)
     return extopt.minimize_extension_entropy(e, cfg).best_assignment
 
 
-def cmd_simulate_ep(args) -> int:
-    e = load_ensemble(args.ensemble)
-    assignment = _resolve_assignment(args, e)
-    res = protocol.extension_protocol(
-        e,
-        args.n_block,
-        assignment,
-        args.k,
-        eps=args.eps,
-        dim_cap=args.dim_cap,
-        sampling=args.sampling,
-        mc_samples=args.samples,
-        seed=args.seed,
-    )
-    reports = _simulate_reports(e, res)
-    _emit(args, SIMULATE_HEADER, [_result_row(args.k, res)], reports,
-          _json_result_extra(res))
-    _check_reports(reports)
-    return 0
+def cmd_simulate(args) -> int:
+    """simulate-js, simulate-ep and sweep: one protocol run per output row.
 
-
-def cmd_sweep(args) -> int:
+    JSON output of a single run also lists its per-sequence records.
+    """
     e = load_ensemble(args.ensemble)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    sweep = args.command == "sweep"
+    js = args.protocol == "js" if sweep else args.command == "simulate-js"
+    values = _int_list(args.values) if sweep else [args.n if js else args.k]
     if not values:
         raise ValidationError("sweep needs at least one value")
-    rows = []
-    reports = []
-    if args.protocol == "js":
-        for n in values:
-            res = protocol.js_protocol(
-                e, n, eps=args.eps, dim_cap=args.dim_cap,
-                sampling=args.sampling, mc_samples=args.samples, seed=args.seed,
-            )
-            reports.extend(_simulate_reports(e, res))
-            rows.append(_result_row(n, res))
-    else:
-        assignment = _resolve_assignment(args, e)
-        for k in values:
-            res = protocol.extension_protocol(
-                e, args.n_block, assignment, k, eps=args.eps,
-                dim_cap=args.dim_cap, sampling=args.sampling,
-                mc_samples=args.samples, seed=args.seed,
-            )
-            reports.extend(_simulate_reports(e, res))
-            rows.append(_result_row(k, res))
-    _emit(args, SIMULATE_HEADER, rows, reports)
+    assignment = None if js else _resolve_assignment(args, e)
+    opts = dict(eps=args.eps, dim_cap=args.dim_cap, sampling=args.sampling,
+                mc_samples=args.samples, seed=args.seed)
+    rows, reports = [], []
+    for v in values:
+        if js:
+            res = protocol.js_protocol(e, v, **opts)
+        else:
+            res = protocol.extension_protocol(e, args.n_block, assignment, v, **opts)
+        reports.extend(_simulate_reports(e, res))
+        rows.append(_result_row(v, res))
+    _emit(args, SIMULATE_HEADER, rows, reports, None if sweep else _json_result_extra(res))
     _check_reports(reports)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _values_text(text: str) -> str:
+    """argparse type of ``--values``: checks the list, keeps the text as typed."""
+    try:
+        _int_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated integer list: {text!r}"
+        ) from None
+    return text
 
 
 def _add_common(p):
@@ -468,7 +429,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_sampling_flags(p)
     p.add_argument("--n", type=int, required=True, help="block length")
-    p.set_defaults(func=cmd_simulate_js)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("simulate-ep", help="extension protocol run")
     _add_common(p)
@@ -478,17 +439,18 @@ def build_parser() -> _Parser:
     p.add_argument("--assignment", help="assignment JSON from a minimize run")
     p.add_argument("--trivial", action="store_true",
                    help="use the trivial (identity) assignment")
-    p.set_defaults(func=cmd_simulate_ep)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep n (js) or k (ep)")
     _add_common(p)
     _add_sampling_flags(p)
     _add_optimizer_flags(p)
     p.add_argument("--protocol", choices=("js", "ep"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated n or k values")
+    p.add_argument("--values", type=_values_text, required=True,
+                   help="comma-separated n or k values")
     p.add_argument("--assignment", help="assignment JSON (ep only)")
     p.add_argument("--trivial", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_simulate)
     return parser
 
 

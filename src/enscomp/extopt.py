@@ -37,6 +37,11 @@ GRAD_REGULARIZATION = 1e-10
 
 LOWER_BOUND_SLACK = 1e-6
 
+# L-BFGS-B stopping tolerances: relative entropy decrease (ftol) and
+# projected gradient size (gtol).
+ENTROPY_TOLERANCE = 1e-11
+STEP_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class ExtensionAssignment:
@@ -66,8 +71,6 @@ class ExtensionAssignment:
 class OptimizerConfig:
     multistarts: int = 8
     max_iters: int = 500
-    step_tolerance: float = 1e-8
-    entropy_tolerance: float = 1e-11
     seed: int = 0
     ancilla_dim: int = 2
     purifier_dim: int | None = None  # None -> system_dim * ancilla_dim
@@ -95,7 +98,6 @@ class MinimizeResult:
 class ExtensionCheck:
     ok: bool
     trace_norm_defect: float
-    state_valid: bool
 
     def __bool__(self) -> bool:
         return self.ok
@@ -280,8 +282,7 @@ def verify_extension(
         rho_ext.matrix, rho_ext.factor_dims, range(n_sys)
     )
     defect = linalg.trace_norm(reduced - rho.matrix)
-    # rho_ext passed DensityMatrix validation at construction
-    return ExtensionCheck(defect <= tol, float(defect), True)
+    return ExtensionCheck(defect <= tol, float(defect))
 
 
 def _assignment_from_flat(
@@ -292,17 +293,14 @@ def _assignment_from_flat(
     )
 
 
-def minimize_extension_entropy(
-    e: Ensemble, cfg: OptimizerConfig, initial_assignments=()
-) -> MinimizeResult:
+def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeResult:
     """Multistart minimization of S(rho^ext) over extension assignments.
 
     Start 0 is always the trivial (zero-parameter) assignment, so the result
-    never exceeds S(ensemble density).  Extra starting assignments are run
-    next, then seeded random starts; each start draws its own sub-seed from
-    (seed, start index).  L-BFGS-B minimizes the regularized entropy with the
-    analytic gradient; reported entropies are unregularized.  Ties across
-    starts break toward the lowest start index.
+    never exceeds S(ensemble density).  Seeded random starts follow; each
+    draws its own sub-seed from (seed, start index).  L-BFGS-B minimizes the
+    regularized entropy with the analytic gradient; reported entropies are
+    unregularized.  Ties across starts break toward the lowest start index.
     """
     if cfg.n_block > 1:
         e = product_ensemble(e, cfg.n_block)
@@ -322,15 +320,7 @@ def minimize_extension_entropy(
     total = 2 * n * n * len(e)
 
     starts: list[np.ndarray] = [np.zeros(total)]
-    for a in initial_assignments:
-        if (a.ancilla_dim, a.purifier_dim) != (ancilla_dim, purifier_dim):
-            raise ValidationError(
-                "initial assignment dims do not match the configuration "
-                "(embed it first with embed_assignment)"
-            )
-        starts.append(np.concatenate(a.params))
-    while len(starts) < max(cfg.multistarts, len(starts)):
-        idx = len(starts)
+    for idx in range(1, cfg.multistarts):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,))
         )
@@ -354,8 +344,8 @@ def minimize_extension_entropy(
             method="L-BFGS-B",
             options={
                 "maxiter": cfg.max_iters,
-                "ftol": cfg.entropy_tolerance,
-                "gtol": cfg.step_tolerance,
+                "ftol": ENTROPY_TOLERANCE,
+                "gtol": STEP_TOLERANCE,
             },
         )
         if not np.all(np.isfinite(res.x)):
@@ -385,72 +375,3 @@ def minimize_extension_entropy(
         best_assignment=_assignment_from_flat(e, best_x, ancilla_dim, purifier_dim),
         history=tuple(history),
     )
-
-
-def _complete_columns(cols: list[np.ndarray], dim: int, target: int) -> np.ndarray:
-    """Extend orthonormal columns to ``target`` many using basis directions."""
-    cols = list(cols)
-    for j in range(dim):
-        if len(cols) == target:
-            break
-        v = np.zeros(dim, dtype=np.complex128)
-        v[j] = 1.0
-        for u in cols:
-            v -= u * (u.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            cols.append(v / nrm)
-    return np.column_stack(cols)
-
-
-def params_from_isometry(w_iso: np.ndarray, ancilla_dim: int, purifier_dim: int) -> np.ndarray:
-    """Parameter vector reproducing a given register isometry.
-
-    Completes W to a unitary, takes the principal matrix logarithm, and packs
-    half of the resulting anti-Hermitian generator (W = expm(A - A^dag) E).
-    """
-    n = ancilla_dim * purifier_dim
-    w_iso = np.asarray(w_iso, dtype=np.complex128)
-    r = w_iso.shape[1]
-    if w_iso.shape[0] != n:
-        raise ValidationError(f"isometry rows {w_iso.shape[0]} != ancilla*purifier {n}")
-    if np.max(np.abs(w_iso.conj().T @ w_iso - np.eye(r))) > 1e-9:
-        raise ValidationError("matrix is not an isometry within 1e-9")
-    u_full = _complete_columns([w_iso[:, j] for j in range(r)], n, n)
-    g = scipy.linalg.logm(u_full)
-    g = (g - g.conj().T) / 2.0
-    rebuilt = scipy.linalg.expm(g)[:, :r]
-    if np.max(np.abs(rebuilt - w_iso)) > 1e-8:
-        raise ValidationError("could not recover the isometry from its logarithm")
-    a = g / 2.0
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
-
-
-def embed_assignment(
-    assignment: ExtensionAssignment, ancilla_dim: int, purifier_dim: int
-) -> ExtensionAssignment:
-    """Re-express an assignment inside a larger ancilla/purifier search space.
-
-    The embedded assignment induces the same extensions up to ancilla zero
-    padding, so its ensemble entropy is unchanged.
-    """
-    a1, q1 = assignment.ancilla_dim, assignment.purifier_dim
-    if ancilla_dim < a1 or purifier_dim < q1:
-        raise ValidationError("target dims must dominate the existing ones")
-    n1, n2 = a1 * q1, ancilla_dim * purifier_dim
-    d = assignment.system_dim
-    r1 = min(d, n1)
-    r2 = min(d, n2)
-    new_params = []
-    for p in assignment.params:
-        w1, _ = _isometry(p, n1, r1)
-        w2 = np.zeros((n2, r1), dtype=np.complex128)
-        # old register index (c, u) keeps its meaning at (c, u) in the new space
-        for c in range(a1):
-            w2[c * purifier_dim : c * purifier_dim + q1, :] = w1[
-                c * q1 : (c + 1) * q1, :
-            ]
-        # extend with unused basis columns for the widened register
-        w2 = _complete_columns([w2[:, j] for j in range(r1)], n2, r2)
-        new_params.append(params_from_isometry(w2, ancilla_dim, purifier_dim))
-    return ExtensionAssignment(d, ancilla_dim, purifier_dim, tuple(new_params))

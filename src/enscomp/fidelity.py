@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .states import DensityMatrix, Ensemble
+from .states import DensityMatrix
 
 NORM_ATOL = 1e-10
 
@@ -71,20 +71,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     root = linalg.psd_sqrt(rho.matrix) @ linalg.psd_sqrt(sigma.matrix)
     val = float(np.sum(linalg.singular_values(root)) ** 2)
     return min(max(val, 0.0), 1.0)
-
-
-def average_fidelity(e: Ensemble, e_prime: Ensemble) -> float:
-    """Probability-weighted mean of pairwise fidelities; probs of ``e`` used."""
-    if len(e) != len(e_prime):
-        raise ValidationError(
-            f"ensembles have different lengths: {len(e)} vs {len(e_prime)}"
-        )
-    return float(
-        sum(
-            p * fidelity(a, b)
-            for p, a, b in zip(e.probs, e.states, e_prime.states)
-        )
-    )
 
 
 def canonical_purification(rho: DensityMatrix) -> PureState:

@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * matrices are plain complex ``np.ndarray`` values and are never mutated.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DimensionGuardError, ValidationError
@@ -23,30 +25,22 @@ EIG_CLAMP_TOL = 1e-9
 PSD_ATOL = 1e-6
 
 
-class EigDecomposition:
+class EigDecomposition(NamedTuple):
     """Hermitian eigendecomposition with eigenvalues sorted descending.
 
     ``eigenvectors`` holds the eigenvectors as columns, so
     ``V @ diag(w) @ V.conj().T`` reconstructs the input.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
-def check_dim_guard(dim: int, max_dim: int | None = None) -> None:
-    """Raise DimensionGuardError if ``dim`` exceeds the configured budget."""
-    limit = MAX_DIM if max_dim is None else max_dim
-    if dim > limit:
+def check_dim_guard(dim: int) -> None:
+    """Raise DimensionGuardError if ``dim`` exceeds ``MAX_DIM``."""
+    if dim > MAX_DIM:
         raise DimensionGuardError(
-            f"dimension {dim} exceeds the configured guard {limit}"
+            f"dimension {dim} exceeds the configured guard {MAX_DIM}"
         )
 
 
@@ -57,23 +51,23 @@ def _as_complex(m) -> np.ndarray:
     return a
 
 
-def tensor_product(a, b, *, max_dim: int | None = None) -> np.ndarray:
+def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the left factor on the slow index."""
     a = _as_complex(a)
     b = _as_complex(b)
-    check_dim_guard(a.shape[0] * b.shape[0], max_dim)
-    check_dim_guard(a.shape[-1] * b.shape[-1], max_dim)
+    check_dim_guard(a.shape[0] * b.shape[0])
+    check_dim_guard(a.shape[-1] * b.shape[-1])
     return np.kron(a, b)
 
 
-def kron_all(mats, *, max_dim: int | None = None) -> np.ndarray:
+def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     mats = list(mats)
     if not mats:
         raise ValidationError("kron_all needs at least one factor")
     out = _as_complex(mats[0])
     for m in mats[1:]:
-        out = tensor_product(out, m, max_dim=max_dim)
+        out = tensor_product(out, m)
     return out
 
 
@@ -115,20 +109,20 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return res.reshape(kept_dim, kept_dim)
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[-1] and np.max(np.abs(m - m.conj().T)) <= atol
+    return m.shape[0] == m.shape[-1] and np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL
 
 
-def hermitian_eig(h, *, atol: float = HERMITIAN_ATOL) -> EigDecomposition:
+def hermitian_eig(h) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     h = _as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if dev > atol:
+    if dev > HERMITIAN_ATOL:
         raise ValidationError(
-            f"matrix is not Hermitian (max deviation {dev:.3e} > {atol:.1e})"
+            f"matrix is not Hermitian (max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e})"
         )
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(w)[::-1]

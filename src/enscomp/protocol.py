@@ -277,6 +277,8 @@ def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
 
 
 def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
+    if count < 1:
+        raise ValidationError(f"Monte-Carlo sample count must be >= 1, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.choice(len(probs), size=(count, n), p=probs)
     counts: dict[tuple, int] = {}
@@ -375,10 +377,6 @@ def extension_protocol(
     if k < 1:
         raise ValidationError("number of blocks must be >= 1")
     e_blk = product_ensemble(e0, n_block)
-    if assignment.system_dim != e_blk.dim:
-        raise ValidationError(
-            f"assignment system dim {assignment.system_dim} != block dim {e_blk.dim}"
-        )
     e_ext = extended_ensemble(e_blk, assignment)
     linalg.check_dim_guard(e_ext.dim ** k)
     ts = typical_subspace(ensemble_density(e_ext), k, eps=eps, dim_cap=dim_cap)

@@ -29,10 +29,3 @@ def zero_plus_pair() -> Ensemble:
 def biased_qubit() -> Ensemble:
     """Single mixed signal diag(0.9, 0.1); the classic binomial JS source."""
     return Ensemble([1.0], (DensityMatrix(np.diag([0.9, 0.1]).astype(complex), (2,)),))
-
-
-REFERENCE_ENSEMBLES = {
-    "orthogonal-pair": orthogonal_pair,
-    "zero-plus-pair": zero_plus_pair,
-    "biased-qubit": biased_qubit,
-}

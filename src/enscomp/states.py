@@ -56,12 +56,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_matrix(cls, matrix, factor_dims=None) -> "DensityMatrix":
-        m = np.asarray(matrix)
-        dims = (m.shape[0],) if factor_dims is None else tuple(factor_dims)
-        return cls(m, dims)
-
 
 @dataclass(frozen=True)
 class Ensemble:

@@ -193,3 +193,94 @@ def test_high_fidelity_run_emits_satisfied_holevo_report(tmp_path, capsys):
     assert doc["rows"][0][3] >= 0.99
     assert len(doc["bounds"]) == 1
     assert doc["bounds"][0]["satisfied"] is True
+
+
+GOOD_STATES = [
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        5,
+        {"probs": "abc", "factor_dims": [2], "states": GOOD_STATES},
+        {"probs": [0.5, 0.5], "factor_dims": ["x"], "states": GOOD_STATES},
+        {"probs": [0.5, 0.5], "factor_dims": 2, "states": GOOD_STATES},
+        {"probs": [0.5, 0.5], "factor_dims": [2.7], "states": GOOD_STATES},
+        {"probs": [0.5, 0.5], "factor_dims": [2], "states": 5},
+    ],
+    ids=["top-level-number", "probs-string", "dims-string-item", "dims-number",
+         "dims-fraction", "states-number"],
+)
+def test_malformed_ensemble_is_a_parse_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(EnsembleParseError):
+        cli.load_ensemble(str(path))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert "enscomp: parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("system_dim", "x"), ("ancilla_dim", 2.5), ("params", [["a"] * 32, [0.0] * 32])],
+    ids=["system-dim-string", "ancilla-dim-fraction", "params-non-numeric"],
+)
+def test_malformed_assignment_is_a_parse_error(tmp_path, capsys, field, value):
+    from enscomp import extopt
+    e = reference.orthogonal_pair()
+    payload = cli.assignment_to_payload(extopt.trivial_assignment(e, 2, 2))
+    payload[field] = value
+    asn = tmp_path / "asn.json"
+    asn.write_text(json.dumps(payload))
+    with pytest.raises(EnsembleParseError):
+        cli.load_assignment(str(asn))
+    path = write_ensemble(tmp_path, e)
+    code = cli.main(["simulate-ep", path, "--k", "1", "--eps", "0.1",
+                     "--assignment", str(asn)])
+    assert code == 1
+    assert "enscomp: parse error" in capsys.readouterr().err
+
+
+def test_sweep_bad_values_is_a_usage_error(tmp_path, capsys):
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", path, "--protocol", "js", "--values", "2,a", "--eps", "0.1"])
+    assert exc.value.code == 1
+    assert "--values" in capsys.readouterr().err
+
+
+def test_simulate_zero_samples_is_a_validation_error(tmp_path, capsys):
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    code = cli.main(["simulate-js", path, "--n", "4", "--eps", "0.1",
+                     "--sampling", "mc", "--samples", "0"])
+    assert code == 2
+    assert "sample count" in capsys.readouterr().err
+
+
+def _data_rows(text):
+    return [l for l in text.strip().splitlines() if not l.startswith("#")][1:]
+
+
+@pytest.mark.parametrize(
+    "proto, single_cmd, value_flag, flags",
+    [
+        ("js", "simulate-js", "--n", ["--sampling", "mc", "--samples", "40"]),
+        ("ep", "simulate-ep", "--k",
+         ["--trivial", "--ancilla-dim", "2", "--purifier-dim", "1"]),
+    ],
+    ids=["js", "ep-trivial"],
+)
+def test_sweep_rows_match_single_runs(tmp_path, capsys, proto, single_cmd, value_flag, flags):
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    flags = [*flags, "--eps", "0.1", "--seed", "5"]
+    assert cli.main(["sweep", path, "--protocol", proto, "--values", "2,3", *flags]) == 0
+    swept = _data_rows(capsys.readouterr().out)
+    single = []
+    for v in ("2", "3"):
+        assert cli.main([single_cmd, path, value_flag, v, *flags]) == 0
+        single += _data_rows(capsys.readouterr().out)
+    assert len(swept) == 2
+    assert swept == single

@@ -5,14 +5,13 @@ import scipy.linalg
 from enscomp import linalg
 from enscomp.fidelity import (
     PureState,
-    average_fidelity,
     canonical_purification,
     fidelity,
     lemma_extension,
     optimal_purification,
 )
 from enscomp.errors import ValidationError
-from enscomp.states import DensityMatrix, Ensemble
+from enscomp.states import DensityMatrix
 
 from conftest import rand_density, rand_ensemble, rand_pure_density, rand_unitary
 
@@ -83,28 +82,6 @@ def test_fidelity_monotone_under_partial_trace(rng):
 def test_fidelity_dimension_mismatch(rng):
     with pytest.raises(ValidationError):
         fidelity(rand_density(rng, 2), rand_density(rng, 3))
-
-
-def test_average_fidelity(rng):
-    e = rand_ensemble(rng, 2, 3)
-    assert abs(average_fidelity(e, e) - 1.0) < 1e-9
-    e2 = rand_ensemble(rng, 2, 3)
-    manual = sum(
-        p * fidelity(a, b) for p, a, b in zip(e.probs, e.states, e2.states)
-    )
-    assert abs(average_fidelity(e, e2) - manual) < 1e-12
-
-
-def test_average_fidelity_arithmetic():
-    pair = Ensemble(
-        [0.5, 0.5],
-        (DensityMatrix(np.diag([1.0, 0.0]), (2,)), DensityMatrix(np.eye(2) / 2, (2,))),
-    )
-    other = Ensemble(
-        [0.5, 0.5],
-        (DensityMatrix(np.diag([1.0, 0.0]), (2,)), DensityMatrix(np.diag([1.0, 0.0]), (2,))),
-    )
-    assert abs(average_fidelity(pair, other) - 0.75) < 1e-12
 
 
 def test_double_concavity_block_diagonal(rng):

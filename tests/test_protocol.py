@@ -272,6 +272,19 @@ def test_js_protocol_mc_deterministic_and_close_to_exact():
     assert sum(r.draws for r in mc1.per_sequence) == 300
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_mc_sample_count_must_be_positive(samples):
+    e = orthogonal_pair()
+    with pytest.raises(ValidationError, match="sample count"):
+        protocol.js_protocol(e, 2, eps=0.1, sampling="mc", mc_samples=samples)
+    triv = extopt.trivial_assignment(e, 1, 4)
+    with pytest.raises(ValidationError, match="sample count"):
+        protocol.extension_protocol(e, 1, triv, 2, eps=0.1, sampling="mc",
+                                    mc_samples=samples)
+    # exact mode draws nothing, so the count is not used
+    protocol.js_protocol(e, 2, eps=0.1, sampling="exact", mc_samples=samples)
+
+
 def test_js_protocol_auto_switches_to_sampling():
     e = zero_plus_pair()
     res = protocol.js_protocol(e, 13, dim_cap=64, mc_samples=50, seed=2)
