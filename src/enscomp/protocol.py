@@ -12,18 +12,20 @@ kernel, which never materializes a d^n-dimensional operator.  With V the
 typical basis and the compressed state V Y V^dag, Uhlmann's theorem gives
 F = ||stack_j L^dag X_j||_1^2 for Y = L L^dag and a target sigma = A A^dag
 seen through X_j = V^dag (A (x) |j>), j running over the traced ancilla
-basis.  X factors position by position like the typical strings.  When the
-input rank product Q is below m, L = [u, sqrt(delta) e_0] with u = V^dag A
-the input rows and delta the junk mass; otherwise Y comes from per-position
-Gram matrices, is diagonalized in the m-dim space, and its rank-revealing
-eigen-factor is the L of the traced output.
+basis.  X factors position by position like the typical strings.  Every
+sequence gets one factor T with T T^dag = V^dag sigma V: the input rows
+V^dag A when the input rank product Q is below m, else the pivoted Cholesky
+factor of the Gram product.  Y = L L^dag for L = [T, sqrt(delta) e_0], delta
+= 1 - ||T||_F^2 the junk mass, and the pre-trace F is ||L^dag T||_1^2.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import linalg
 from .errors import BoundViolationError, DimensionGuardError, ValidationError
@@ -122,11 +124,9 @@ def typical_subspace(
     vecs = dec.eigenvectors[:, keep]
     r = len(w)
 
-    strings = np.indices((r,) * n, dtype=np.intp).reshape(n, -1).T
-    probs = np.prod(w[strings], axis=1)
-    # Rows are lexicographic, so a stable sort breaks exact ties the same way.
+    probs = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    # C order is lexicographic, so a stable sort breaks exact ties the same way.
     order = np.argsort(-probs, kind="stable")
-    strings = strings[order]
     probs = probs[order]
     cum = np.cumsum(probs)
 
@@ -140,7 +140,7 @@ def typical_subspace(
         block_length=n,
         dim=m,
         retained_mass=float(cum[m - 1]),
-        strings=strings[:m],
+        strings=np.stack(np.unravel_index(order[:m], (r,) * n), axis=1),
         string_probs=probs[:m],
         source_eigenvalues=w,
         source_eigenvectors=vecs,
@@ -154,25 +154,26 @@ def _subspace_grams(ts: TypicalSubspace, source_states) -> list[np.ndarray]:
     return [v.conj().T @ s.matrix @ v for s in source_states]
 
 
-def _sequence_y(ts: TypicalSubspace, grams, seq) -> tuple[np.ndarray, np.ndarray]:
-    """(V^dag sigma V, compressed state Y) for sigma the given sequence."""
+def _sequence_gram(ts: TypicalSubspace, grams, seq) -> np.ndarray:
+    """V^dag sigma V for sigma the given sequence, from per-position Grams."""
     s = ts.strings
     gm = np.ones((ts.dim, ts.dim), dtype=np.complex128)
     for t, c in enumerate(seq):
-        g = grams[c]
-        gm *= g[np.ix_(s[:, t], s[:, t])]
-    y = gm.copy()
-    y[0, 0] += 1.0 - float(np.trace(gm).real)
-    return gm, y
+        gm *= grams[c][np.ix_(s[:, t], s[:, t])]
+    return gm
 
 
-def _fidelity_in_subspace(gm: np.ndarray, y: np.ndarray) -> float:
-    """F(sigma, V Y V^dag) given gm = V^dag sigma V; all in the m-dim space."""
-    wy, vy = np.linalg.eigh((y + y.conj().T) / 2.0)
-    sy = (vy * np.sqrt(np.clip(wy, 0.0, None))) @ vy.conj().T
-    z = sy @ gm @ sy
-    wz = np.clip(np.linalg.eigvalsh((z + z.conj().T) / 2.0), 0.0, None)
-    return float(np.sum(np.sqrt(wz)) ** 2)
+def _gram_factor(g: np.ndarray) -> np.ndarray:
+    """T with T T^dag = g by pivoted Cholesky, so no sqrt of rounding noise enters.
+
+    zpstrf stops once every remaining pivot is <= m * u * max_k g_kk (u the unit
+    roundoff), the kernel's one rank tolerance; the dropped PSD Schur complement,
+    of trace <= m^2 * u * max_k g_kk (5e-12 at m = 222), moves into the junk mass.
+    """
+    c, piv, rank, info = lapack.zpstrf(g, lower=1)
+    if info < 0:
+        raise ValidationError(f"zpstrf rejected argument {-info}")
+    return np.tril(c[:, :rank])[np.argsort(piv)]
 
 
 def _amplitude_factors(ts: TypicalSubspace, states, anc_dim: int = 1) -> list[np.ndarray]:
@@ -208,7 +209,8 @@ def _uhlmann(l: np.ndarray, x: np.ndarray) -> float:
     The row order of the stack does not change its singular values, so the
     j-major layout of X needs no transposed copy.
     """
-    b = (l.conj().T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[2])
+    b = l.conj().T @ x.reshape(x.shape[0], -1)
+    b = b.reshape(l.shape[1] * x.shape[1], x.shape[2])
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
@@ -238,15 +240,13 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         if outputs is not None:
             _check_budget(m * anc_dim ** len(seq) * prod(outputs[c].shape[2] for c in seq))
         if q < m:
-            u = _sequence_rows(ts, inputs, seq)
-            l = np.zeros((m, q + 1), dtype=np.complex128)
-            l[:, :q] = u[:, 0, :]
-            l[0, q] = np.sqrt(max(1.0 - float(np.vdot(u, u).real), 0.0))
-            fid = _uhlmann(l, u)
+            t = _sequence_rows(ts, inputs, seq)[:, 0, :]
         else:
-            gm, y = _sequence_y(ts, grams, seq)
-            fid = _fidelity_in_subspace(gm, y)
-            l = None if outputs is None else linalg.psd_factor(y)
+            t = _gram_factor(_sequence_gram(ts, grams, seq))
+        l = np.zeros((m, t.shape[1] + 1), dtype=np.complex128)
+        l[:, :-1] = t
+        l[0, -1] = np.sqrt(max(1.0 - float(np.vdot(t, t).real), 0.0))
+        fid = _uhlmann(l, t[:, None, :])
         if outputs is None:
             return fid, None
         traced = min(_uhlmann(l, _sequence_rows(ts, outputs, seq)), 1.0)

@@ -15,6 +15,8 @@ from .errors import DimensionGuardError, ValidationError
 TRACE_ATOL = 1e-9
 # 0 * log 0 = 0: eigenvalues at or below this floor do not enter entropy sums
 ENTROPY_EIG_FLOOR = 1e-12
+# eigenvalues above this count towards a state's support dimension
+SUPPORT_EIG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,10 @@ def holevo_quantity(e: Ensemble) -> float:
     return float(chi)
 
 
-def support_dim(rho: DensityMatrix, tol: float = 1e-10) -> int:
-    """Number of eigenvalues above ``tol``."""
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+def support_dim(rho: DensityMatrix) -> int:
+    """Number of eigenvalues above ``SUPPORT_EIG_FLOOR``."""
     w = np.linalg.eigvalsh((rho.matrix + rho.matrix.conj().T) / 2.0)
-    return int(np.sum(w > tol))
+    return int(np.sum(w > SUPPORT_EIG_FLOOR))
 
 
 # product_ensemble materializes |e|^n matrices of dimension dim^n each;

@@ -74,6 +74,21 @@ def compressed_y(seq: np.ndarray, ts) -> np.ndarray:
     return y
 
 
+def pretrace_fidelity(ts, states, seq) -> float:
+    """F(sigma, V Y V^dag) for sigma the product of ``states`` along ``seq``.
+
+    The rows route for any input rank: u = V^dag A with A = (x)_t A_t the
+    product of the states' eigen-factors, Y = L L^dag for L = [u, sqrt(delta)
+    e_0], and F = ||L^dag u||_1^2.  No matrix square root enters.
+    """
+    a = linalg.kron_all([linalg.psd_factor(states[c].matrix) for c in seq])
+    u = basis(ts).conj().T @ a
+    junk = np.zeros((ts.dim, 1), dtype=np.complex128)
+    junk[0, 0] = np.sqrt(max(1.0 - float(np.vdot(u, u).real), 0.0))
+    b = np.hstack([u, junk]).conj().T @ u
+    return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
+
+
 def js_compress_sequence(seq: DensityMatrix, ts) -> DensityMatrix:
     """The JS map P sigma P + Tr[(I-P) sigma] tau, as a dense matrix.
 

@@ -195,8 +195,11 @@ def test_js_fast_path_matches_dense_route(rng):
         )
         dense = dense_oracle.js_compress_sequence(sig, ts)
         f_dense = fidelity(sig, dense)
-        gm, y = protocol._sequence_y(ts, grams, seq)
-        f_fast = protocol._fidelity_in_subspace(gm, y)
+        # the kernel's Q >= m route, pivoted Cholesky, forced on a rank-1 Gram
+        t = protocol._gram_factor(protocol._sequence_gram(ts, grams, seq))
+        assert t.shape == (6, 1)
+        junk = np.sqrt(1.0 - np.vdot(t, t).real) * np.eye(6)[:, :1]
+        f_fast = protocol._uhlmann(np.hstack([t, junk]), t[:, None, :])
         assert abs(f_dense - f_fast) < 1e-7
         f_rows, _ = kernel(seq)  # rank-1 signals: Q = 1 < m, the rows route
         assert abs(f_dense - f_rows) < 1e-7
@@ -416,3 +419,97 @@ def test_extension_protocol_zero_plus_no_false_alarm():
     ep = protocol.extension_protocol(e, 1, best, 6, eps=0.05, sampling="exact")
     assert ep.avg_fidelity >= ep.ext_avg_fidelity - 1e-9
     assert ep.ext_avg_fidelity >= 0.95 ** 2
+
+
+def test_kernel_zero_rank_gram():
+    # The zero-probability state |1> is orthogonal to the kept support |0>, so
+    # every sequence holding it has the zero Gram (Q = 1 >= m = 1): its factor
+    # has no columns and F = 0.
+    e = Ensemble([1.0, 0.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),
+                              DensityMatrix(np.diag([0.0, 1.0]), (2,))))
+    res = protocol.js_protocol(e, 2, dim_cap=1, sampling="exact")
+    fids = {r.indices: r.fidelity for r in res.per_sequence}
+    assert abs(fids.pop((0, 0)) - 1.0) < 1e-15
+    assert fids == {(0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+    assert res.avg_fidelity == 1.0
+    ep = protocol.extension_protocol(
+        e, 1, extopt.trivial_assignment(e, 2, 2), 2, dim_cap=1, sampling="exact"
+    )
+    fids = {r.indices: r.fidelity for r in ep.per_sequence}
+    assert abs(fids.pop((0, 0)) - 1.0) < 1e-15
+    assert fids == {(0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+    assert abs(ep.ext_avg_fidelity - 1.0) < 1e-15
+
+
+def test_kernel_one_dimensional_source():
+    one = DensityMatrix(np.ones((1, 1)), (1,))
+    res = protocol.js_protocol(Ensemble([0.4, 0.6], (one, one)), 3, eps=0.0, sampling="exact")
+    assert res.channel_dim == 1 and res.rate == 0.0
+    assert all(abs(r.fidelity - 1.0) < 1e-15 for r in res.per_sequence)
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+def test_kernel_cap_at_or_above_full_dimension(extra):
+    # m = r^n keeps the whole support, so compression is lossless: F = 1 on a
+    # full-rank qubit source and on rank-2 qutrit states with one shared support
+    rng = np.random.default_rng(314)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    embedded = tuple(
+        DensityMatrix(u[:, :2] @ rand_density(rng, 2).matrix @ u[:, :2].conj().T, (3,))
+        for _ in range(2)
+    )
+    for e in (_random_mixed_ensemble(rng, 3), Ensemble([0.5, 0.5], embedded)):
+        res = protocol.js_protocol(e, 3, dim_cap=8 + extra, sampling="exact")
+        assert res.channel_dim == 8
+        assert all(abs(r.fidelity - 1.0) < 1e-12 for r in res.per_sequence)
+    e = _random_mixed_ensemble(rng, 2)
+    assignment = extopt.ExtensionAssignment(
+        2, 2, 2, tuple(rng.normal(size=extopt.param_count(2, 2)) for _ in e.states)
+    )
+    ep = protocol.extension_protocol(e, 1, assignment, 2, dim_cap=16 + extra, sampling="exact")
+    assert ep.channel_dim == 16
+    assert abs(ep.avg_fidelity - 1.0) < 1e-12 and abs(ep.ext_avg_fidelity - 1.0) < 1e-12
+
+
+# Bloch vectors and probabilities of the benchmark's mixed-qubit triple
+TRIPLE_BLOCH = ((-0.298, 0.090, -0.615), (0.666, -0.264, 0.251), (-0.059, -0.128, -0.301))
+TRIPLE_PROBS = (0.209, 0.380, 0.411)
+
+
+def test_pretrace_fidelity_matches_rows_oracle():
+    # Full-rank inputs give Q >= m, the pivoted-Cholesky route.  The rows
+    # oracle needs no square root of a computed matrix, so both sides agree
+    # far inside the dense route's 1e-7.
+    rng = np.random.default_rng(2718)
+    for _ in range(6):
+        d = int(rng.integers(2, 4))
+        e = Ensemble([0.3, 0.7], tuple(rand_density(rng, d) for _ in range(2)))
+        n = int(rng.integers(2, 4))
+        cap = int(rng.integers(1, d ** n + 1))
+        res = protocol.js_protocol(e, n, dim_cap=cap, sampling="exact")
+        ts = protocol.typical_subspace(states.ensemble_density(e), n, dim_cap=cap)
+        for rec in res.per_sequence:
+            want = dense_oracle.pretrace_fidelity(ts, e.states, rec.indices)
+            assert abs(rec.fidelity - want) < 1e-10
+
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    triple = Ensemble(TRIPLE_PROBS, tuple(
+        DensityMatrix(u @ (np.eye(2) + sum(b * p for b, p in zip(bloch, paulis))) @ u.conj().T / 2,
+                      (2,))
+        for bloch in TRIPLE_BLOCH
+    ))
+    cfg = extopt.OptimizerConfig(multistarts=2, seed=101, ancilla_dim=2, purifier_dim=2)
+    random = extopt.ExtensionAssignment(
+        2, 2, 2, tuple(rng.normal(size=extopt.param_count(2, 2)) for _ in triple.states)
+    )
+    for assignment in (extopt.minimize_extension_entropy(triple, cfg).best_assignment, random):
+        e_ext = extopt.extended_ensemble(triple, assignment)
+        for k in (3, 4):
+            ep = protocol.extension_protocol(triple, 1, assignment, k, eps=0.05, sampling="exact")
+            ts = protocol.typical_subspace(states.ensemble_density(e_ext), k, eps=0.05)
+            want = sum(
+                r.probability * dense_oracle.pretrace_fidelity(ts, e_ext.states, r.indices)
+                for r in ep.per_sequence
+            )
+            assert abs(ep.ext_avg_fidelity - want) < 1e-10

@@ -83,7 +83,7 @@ def test_support_dim(rng):
     assert states.support_dim(rand_pure_density(rng, 4)) == 1
     assert states.support_dim(DensityMatrix(np.eye(2) / 2, (2,))) == 2
     d = np.diag([0.5, 0.5 - 1e-12, 1e-12, 0.0])
-    assert states.support_dim(DensityMatrix(d, (4,)), tol=1e-10) == 2
+    assert states.support_dim(DensityMatrix(d, (4,))) == 2
 
 
 def test_support_dim_entropy_bound(rng):
