@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import bounds, linalg
 from .errors import BoundViolationError, ValidationError
@@ -302,6 +301,9 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     regularized entropy with the analytic gradient; reported entropies are
     unregularized.  Ties across starts break toward the lowest start index.
     """
+    # imported here: scipy.optimize doubles the import time of the package
+    import scipy.optimize
+
     if cfg.n_block > 1:
         e = product_ensemble(e, cfg.n_block)
     ancilla_dim = cfg.ancilla_dim

@@ -19,7 +19,6 @@ factor of the Gram product.  Y = L L^dag for L = [T, sqrt(delta) e_0], delta
 = 1 - ||T||_F^2 the junk mass, and the pre-trace F is ||L^dag T||_1^2.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -56,6 +55,9 @@ class TypicalSubspace:
     source_eigenvalues: np.ndarray  # kept (nonzero), descending
     source_eigenvectors: np.ndarray  # source_dim x len(kept), columns
     source_dim: int
+    # partition of the positions; a transposition inside a block maps the
+    # kept string set onto itself
+    position_blocks: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def typical_subspace(
     vecs = dec.eigenvectors[:, keep]
     r = len(w)
 
-    probs = functools.reduce(np.multiply.outer, [w] * n).ravel()
+    probs = _type_probs(w, n)
     # C order is lexicographic, so a stable sort breaks exact ties the same way.
     order = np.argsort(-probs, kind="stable")
     probs = probs[order]
@@ -145,7 +147,63 @@ def typical_subspace(
         source_eigenvalues=w,
         source_eigenvectors=vecs,
         source_dim=d,
+        position_blocks=_position_blocks(probs, order, m, r, n),
     )
+
+
+def _over_strings(op, x: np.ndarray, n: int) -> np.ndarray:
+    """op applied across the n digits of every string, flat in C order.
+
+    The growing operand comes second, so the outer product's inner loop is long.
+    """
+    out = x
+    for _ in range(n - 1):
+        out = op.outer(x, out).ravel()
+    return out
+
+
+def _type_probs(w: np.ndarray, n: int) -> np.ndarray:
+    """Probability of each of the r^n eigen-strings, in C (lexicographic) order.
+
+    Every string gets the product over its sorted permutation, its eigenvalues
+    multiplied from the smallest up.  All strings of one type (eigenvalue
+    counts) thus share one float, so exact ties are real ties, and since
+    rounding is monotone no string outranks (0, ..., 0), the junk.
+    """
+    r = len(w)
+    products = _over_strings(np.multiply, w, n)
+    # The sorted string's digit at t counts the i < r-1 with C_i <= t, C_i
+    # the number of digits <= i, so its flat index is sum_i tail[C_i].
+    place = r ** np.arange(n - 1, -1, -1)
+    tail = np.append(np.cumsum(place[::-1])[::-1], 0)
+    sorted_index = np.zeros(r ** n, dtype=np.intp)
+    for i in range(r - 1):
+        # r >= 2 bounds n by log2 of the string count, so counts fit in uint8
+        sorted_index += tail[_over_strings(np.add, (np.arange(r) <= i).astype(np.uint8), n)]
+    return products[sorted_index]
+
+
+def _position_blocks(probs, order, m: int, r: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Blocks of positions whose transpositions map the kept strings onto themselves.
+
+    ``probs`` is sorted descending and ``order`` holds the flat string
+    indices.  Whole probability levels are unions of type classes, so only
+    the kept part of a level cut by m can break the symmetry; the pairs that
+    keep it are tested at once on integer codes.  Those pairs are already
+    transitive, since (a c) = (a b)(b c)(a b).
+    """
+    if m == len(probs) or probs[m - 1] != probs[m]:
+        return (tuple(range(n)),)
+    cut = order[:m][probs[:m] == probs[m - 1]]
+    digits = np.stack(np.unravel_index(cut, (r,) * n), axis=1)
+    place = r ** np.arange(n - 1, -1, -1)
+    a, b = np.triu_indices(n, 1)
+    # swapping positions a and b moves the code by (s_a - s_b)(place_b - place_a)
+    swapped = cut[:, None] + (digits[:, a] - digits[:, b]) * (place[b] - place[a])
+    closed = np.isin(swapped, cut).all(axis=0)
+    same = np.eye(n, dtype=bool)
+    same[a[closed], b[closed]] = same[b[closed], a[closed]] = True
+    return tuple(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in same))
 
 
 def _subspace_grams(ts: TypicalSubspace, source_states) -> list[np.ndarray]:
@@ -302,16 +360,23 @@ def _simulate(
 
     Exact mode weighs every sequence of ``length`` signal indices by its
     probability; Monte-Carlo mode weighs each distinct draw by its count.
-    ``fidelities`` maps a sequence to (F, F_ext or None).
+    ``fidelities`` maps a sequence to (F, F_ext or None).  Permuting signals
+    inside a block of ``ts.position_blocks`` fixes the subspace, the junk
+    string and the ancilla trace, so ``fidelities`` runs once per orbit: on
+    the first sequence whose within-block sorted key is new.
     """
     exact = _resolve_sampling(sampling, len(probs) ** length)
     if exact:
         draws = dict.fromkeys(itertools.product(range(len(probs)), repeat=length))
     else:
         draws = _mc_draws(probs, length, mc_samples, seed)
+    orbits = {}
     records, ext = [], []
     for s in sorted(draws):
-        f, fe = fidelities(s)
+        key = tuple(tuple(sorted(s[t] for t in block)) for block in ts.position_blocks)
+        if key not in orbits:
+            orbits[key] = fidelities(s)
+        f, fe = orbits[key]
         records.append(SequenceRecord(s, float(np.prod(probs[list(s)])), f, draws[s]))
         ext.append(fe)
     w = np.array([r.probability if exact else r.draws / mc_samples for r in records])

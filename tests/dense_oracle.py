@@ -20,11 +20,12 @@ def typical_strings(w, n: int, *, eps=None, dim_cap=None):
 
     ``w`` holds the kept source eigenvalues.  All r^n strings are listed with
     itertools and sorted in Python by (-probability, string), so probability
-    ties break lexicographically.
+    ties break lexicographically.  A string's probability comes from its type
+    alone: its eigenvalues multiplied in ascending order.
     """
-    w = np.asarray(w, dtype=float)
+    w = [float(x) for x in w]
     strings = np.array(list(itertools.product(range(len(w)), repeat=n)), dtype=np.intp)
-    probs = np.prod(w[strings], axis=1)
+    probs = np.array([_type_prob(w, s) for s in strings])
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], tuple(strings[i])))
     strings = strings[order]
     probs = probs[order]
@@ -35,6 +36,13 @@ def typical_strings(w, n: int, *, eps=None, dim_cap=None):
     else:
         m = min(int(dim_cap), len(probs))
     return strings[:m], probs[:m], m, float(cum[m - 1])
+
+
+def _type_prob(w, string) -> float:
+    prob = 1.0
+    for i in sorted(string, reverse=True):
+        prob *= w[i]
+    return prob
 
 
 def kron_vec_all(vecs) -> np.ndarray:

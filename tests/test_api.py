@@ -1,4 +1,8 @@
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import enscomp
 
@@ -61,3 +65,11 @@ def test_public_names_are_pinned():
         if not n.startswith("_") and not inspect.ismodule(v)
     )
     assert names == sorted(PUBLIC_NAMES)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the minimizer needs scipy.optimize, which doubles the import time
+    src = pathlib.Path(enscomp.__file__).resolve().parent.parent
+    code = "import sys, enscomp.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -39,6 +41,7 @@ def test_typical_subspace_pure_source(rng):
     ts = protocol.typical_subspace(rho, 5, eps=0.01)
     assert ts.dim == 1
     assert abs(ts.retained_mass - 1.0) < 1e-12
+    assert ts.position_blocks == ((0, 1, 2, 3, 4),)
 
 
 def test_typical_subspace_binomial_oracle():
@@ -103,6 +106,7 @@ def test_typical_subspace_matches_sorted_oracle(rng):
     spectra = {
         "flat qubit": np.eye(2) / 2,
         "flat qutrit": np.eye(3) / 3,
+        "flat d=5": np.eye(5) / 5,
         "diag(.5,.25,.25)": np.diag([0.5, 0.25, 0.25]),
         "rank-deficient": np.diag([0.5, 0.5, 0.0, 0.0]),
         "d=1": np.eye(1),
@@ -146,6 +150,7 @@ def test_typical_subspace_properties(ws, n, target):
     ts = protocol.typical_subspace(DensityMatrix(np.diag(w), (len(w),)), n, **target)
     p = ts.string_probs
     assert len(p) == ts.dim == len(ts.strings)
+    assert not ts.strings[0].any()  # the junk string is fixed by every permutation
     assert np.all(np.diff(p) <= 0.0)
     cum = np.cumsum(p)
     assert ts.retained_mass == cum[-1] <= 1.0 + 1e-12
@@ -157,6 +162,13 @@ def test_typical_subspace_properties(ws, n, target):
         # minimal: one string fewer misses the mass target
         assert ts.dim == 1 or cum[-2] < goal
         assert ts.dim == total or cum[-1] >= goal
+    # two positions share a block exactly when swapping them keeps the kept set
+    kept = {tuple(x) for x in ts.strings.tolist()}
+    block_of = {t: b for b in ts.position_blocks for t in b}
+    assert sorted(block_of) == list(range(n))
+    for a, b in itertools.combinations(range(n), 2):
+        swap = {x[:a] + (x[b],) + x[a + 1:b] + (x[a],) + x[b + 1:] for x in kept}
+        assert (swap == kept) == (block_of[a] == block_of[b]), (a, b)
 
 
 def test_js_compress_sequence_cases(rng):
@@ -476,6 +488,15 @@ TRIPLE_BLOCH = ((-0.298, 0.090, -0.615), (0.666, -0.264, 0.251), (-0.059, -0.128
 TRIPLE_PROBS = (0.209, 0.380, 0.411)
 
 
+def _mixed_triple(u):
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    return Ensemble(TRIPLE_PROBS, tuple(
+        DensityMatrix(u @ (np.eye(2) + sum(b * p for b, p in zip(bloch, paulis))) @ u.conj().T / 2,
+                      (2,))
+        for bloch in TRIPLE_BLOCH
+    ))
+
+
 def test_pretrace_fidelity_matches_rows_oracle():
     # Full-rank inputs give Q >= m, the pivoted-Cholesky route.  The rows
     # oracle needs no square root of a computed matrix, so both sides agree
@@ -492,13 +513,7 @@ def test_pretrace_fidelity_matches_rows_oracle():
             want = dense_oracle.pretrace_fidelity(ts, e.states, rec.indices)
             assert abs(rec.fidelity - want) < 1e-10
 
-    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
-    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    triple = Ensemble(TRIPLE_PROBS, tuple(
-        DensityMatrix(u @ (np.eye(2) + sum(b * p for b, p in zip(bloch, paulis))) @ u.conj().T / 2,
-                      (2,))
-        for bloch in TRIPLE_BLOCH
-    ))
+    triple = _mixed_triple(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
     cfg = extopt.OptimizerConfig(multistarts=2, seed=101, ancilla_dim=2, purifier_dim=2)
     random = extopt.ExtensionAssignment(
         2, 2, 2, tuple(rng.normal(size=extopt.param_count(2, 2)) for _ in triple.states)
@@ -513,3 +528,102 @@ def test_pretrace_fidelity_matches_rows_oracle():
                 for r in ep.per_sequence
             )
             assert abs(ep.ext_avg_fidelity - want) < 1e-10
+
+
+@functools.cache
+def _minimized_triple():
+    """The mixed triple in a seeded basis and its minimized extension."""
+    rng = np.random.default_rng(1729)
+    triple = _mixed_triple(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
+    cfg = extopt.OptimizerConfig(multistarts=2, seed=101, ancilla_dim=2, purifier_dim=2)
+    return triple, extopt.minimize_extension_entropy(triple, cfg).best_assignment
+
+
+def _counted_run(monkeypatch, run, per_sequence=False):
+    """(result, kernel calls, position blocks) of ``run()``.
+
+    ``per_sequence`` makes every block a singleton, so the driver calls the
+    kernel once per sequence.
+    """
+    calls, blocks = [], []
+    kernel, subspace = protocol._fidelity_kernel, protocol.typical_subspace
+
+    def counted_kernel(*args, **kwargs):
+        fidelities = kernel(*args, **kwargs)
+        return lambda seq: calls.append(seq) or fidelities(seq)
+
+    def recorded_subspace(*args, **kwargs):
+        ts = subspace(*args, **kwargs)
+        if per_sequence:
+            singles = tuple((t,) for t in range(ts.block_length))
+            ts = dataclasses.replace(ts, position_blocks=singles)
+        blocks.append(ts.position_blocks)
+        return ts
+
+    with monkeypatch.context() as mp:
+        mp.setattr(protocol, "_fidelity_kernel", counted_kernel)
+        mp.setattr(protocol, "typical_subspace", recorded_subspace)
+        result = run()
+    return result, len(calls), blocks[-1]
+
+
+def test_orbit_memo_matches_per_sequence_loop(monkeypatch):
+    # One kernel call per orbit of within-block permutations gives every
+    # sequence the value its own call gives, exact and Monte-Carlo, JS and EP.
+    rng = np.random.default_rng(1618)
+    runs = []
+    for _ in range(5):
+        e = _random_mixed_ensemble(rng, 3)
+        n = int(rng.integers(3, 6))
+        cap = int(rng.integers(2, 2 ** n))
+        assignment = extopt.ExtensionAssignment(
+            2, 2, 2, tuple(rng.normal(size=extopt.param_count(2, 2)) for _ in e.states)
+        )
+        k = int(rng.integers(2, 5))
+        ep_cap = int(rng.integers(2, 4 ** k))
+        for sampling in ("exact", "mc"):
+            opts = dict(sampling=sampling, mc_samples=200, seed=int(rng.integers(100)))
+            runs.append(functools.partial(protocol.js_protocol, e, n, dim_cap=cap, **opts))
+            runs.append(functools.partial(
+                protocol.extension_protocol, e, 1, assignment, k, dim_cap=ep_cap, **opts
+            ))
+    triple, best = _minimized_triple()
+    for sampling in ("exact", "mc"):
+        runs.append(functools.partial(
+            protocol.extension_protocol, triple, 1, best, 5, eps=0.05, sampling=sampling,
+            mc_samples=300, seed=3,
+        ))
+    partial = 0
+    for run in runs:
+        memo, calls, blocks = _counted_run(monkeypatch, run)
+        loop, loop_calls, _ = _counted_run(monkeypatch, run, per_sequence=True)
+        assert loop_calls == len(loop.per_sequence) == len(memo.per_sequence)
+        assert calls <= loop_calls
+        for a, b in zip(memo.per_sequence, loop.per_sequence):
+            assert (a.indices, a.probability, a.draws) == (b.indices, b.probability, b.draws)
+            assert abs(a.fidelity - b.fidelity) < 1e-12
+        assert abs(memo.avg_fidelity - loop.avg_fidelity) < 1e-12
+        if memo.ext_avg_fidelity is not None:
+            assert abs(memo.ext_avg_fidelity - loop.ext_avg_fidelity) < 1e-12
+        if memo.sampled:
+            assert abs(memo.stderr - loop.stderr) < 1e-12
+        partial += 1 < len(blocks) < sum(map(len, blocks))
+    # the cut classes of some runs are only partly symmetric
+    assert partial >= 4
+
+
+def test_orbit_memo_kernel_calls(monkeypatch):
+    # The orthogonal pair's optimized subspace keeps whole levels at k = 4, so
+    # one call per type: C(4 + 1, 1) = 5.  The mixed triple's eps cut at k = 6
+    # keeps blocks {0}, {1}, {2, 3}, {4, 5}: 3 * 3 * 6 * 6 = 324 orbits of 729.
+    e = orthogonal_pair()
+    cfg = extopt.OptimizerConfig(multistarts=6, seed=21, ancilla_dim=2, purifier_dim=2)
+    best = extopt.minimize_extension_entropy(e, cfg).best_assignment
+    run = functools.partial(protocol.extension_protocol, e, 1, best, 4, eps=0.05, sampling="exact")
+    res, calls, blocks = _counted_run(monkeypatch, run)
+    assert (calls, len(res.per_sequence), blocks) == (5, 16, ((0, 1, 2, 3),))
+    triple, best = _minimized_triple()
+    run = functools.partial(protocol.extension_protocol, triple, 1, best, 6, eps=0.05,
+                            sampling="exact")
+    res, calls, blocks = _counted_run(monkeypatch, run)
+    assert (calls, len(res.per_sequence), blocks) == (324, 729, ((0,), (1,), (2, 3), (4, 5)))
