@@ -36,6 +36,10 @@ GRAD_REGULARIZATION = 1e-10
 
 LOWER_BOUND_SLACK = 1e-6
 
+# Trace-norm budget of an extension: the eigenvalue mass a purification
+# register may drop, and the partial-trace defect verify_extension accepts.
+EXTENSION_TRACE_TOL = 1e-9
+
 # L-BFGS-B stopping tolerances: relative entropy decrease (ftol) and
 # projected gradient size (gtol).
 ENTROPY_TOLERANCE = 1e-11
@@ -124,16 +128,15 @@ def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
     Requires the eigenvalue mass beyond the register capacity to be
     negligible (this is the rank precondition for building an extension).
     """
-    dec = linalg.hermitian_eig(rho.matrix)
-    w = np.clip(dec.eigenvalues, 0.0, None)
+    w, v = linalg.psd_eig(rho.matrix)
     r = min(rho.dim, capacity)
     discarded = float(np.sum(w[r:]))
-    if discarded > 1e-9:
+    if discarded > EXTENSION_TRACE_TOL:
         raise ValidationError(
             f"ancilla*purifier capacity {capacity} cannot carry the state: "
             f"discarded eigenvalue mass {discarded:.3e}"
         )
-    return dec.eigenvectors[:, :r] * np.sqrt(w[:r])
+    return v[:, :r] * np.sqrt(w[:r])
 
 
 def _extension_amplitudes(
@@ -267,10 +270,8 @@ def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray
     return grad
 
 
-def verify_extension(
-    rho_ext: DensityMatrix, rho: DensityMatrix, tol: float = 1e-9
-) -> ExtensionCheck:
-    """Check that rho_ext partially traced over the trailing factors is rho."""
+def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionCheck:
+    """Check Tr_anc(rho_ext) = rho to ``EXTENSION_TRACE_TOL`` in trace norm."""
     n_sys = len(rho.factor_dims)
     if rho_ext.factor_dims[:n_sys] != rho.factor_dims:
         raise ValidationError(
@@ -281,7 +282,7 @@ def verify_extension(
         rho_ext.matrix, rho_ext.factor_dims, range(n_sys)
     )
     defect = linalg.trace_norm(reduced - rho.matrix)
-    return ExtensionCheck(defect <= tol, float(defect))
+    return ExtensionCheck(defect <= EXTENSION_TRACE_TOL, float(defect))
 
 
 def _assignment_from_flat(

@@ -6,11 +6,11 @@ which is the same number but better conditioned; the nested-sqrt form is kept
 as an independent oracle in the test suite.
 
 A purification of rho on system (x) purifier is stored through its amplitude
-matrix A (system dim x purifier dim) with A A^dag = rho.  All purifications
-with a fixed purifier arise as A = A0 W^dag where A0 is the canonical
-(eigenbasis) amplitude matrix and W is a partial isometry on the purifier.
-The Uhlmann optimum aligns W with the polar/SVD decomposition of the cross
-operator between the two purifications.
+matrix A (system dim x purifier dim) with A A^dag = rho.  With F the rank-k
+eigen-factor of rho (F F^dag = rho, ``linalg.psd_factor``), all purifications
+with an r-dimensional purifier arise as A = F U, U a k x r matrix with
+orthonormal rows.  The Uhlmann optimum takes U as the polar factor of the
+cross operator F^dag A' to the other purification.
 """
 
 from dataclasses import dataclass
@@ -42,7 +42,7 @@ class PureState:
             )
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValidationError(f"state vector norm {nrm} is not 1 within 1e-10")
+            raise ValidationError(f"state vector norm {nrm} is not 1 within {NORM_ATOL:g}")
 
     @property
     def dim(self) -> int:
@@ -54,8 +54,12 @@ class PureState:
 
 
 def _fix_global_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the first nonzero amplitude real positive (deterministic output)."""
-    idx = np.flatnonzero(np.abs(vec) > 1e-14)
+    """Make the first nonzero amplitude real positive (deterministic output).
+
+    Amplitudes within rounding of zero, size * eps of the largest, are skipped.
+    """
+    mag = np.abs(vec)
+    idx = np.flatnonzero(mag > mag.max() * vec.size * np.finfo(float).eps)
     if idx.size == 0:
         return vec
     a = vec[idx[0]]
@@ -80,58 +84,9 @@ def canonical_purification(rho: DensityMatrix) -> PureState:
     rank), appended as the last tensor factor.  Tracing it out reproduces the
     input.
     """
-    amps = _canonical_amplitude_matrix(rho.matrix)
-    vec = _fix_global_phase(amps.reshape(-1))
+    w, v = linalg.psd_eig(rho.matrix)
+    vec = _fix_global_phase((v * np.sqrt(w)).reshape(-1))
     return PureState(vec, rho.factor_dims + (rho.dim,))
-
-
-def _canonical_amplitude_matrix(rho_matrix: np.ndarray) -> np.ndarray:
-    dec = linalg.hermitian_eig(rho_matrix)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    return dec.eigenvectors * np.sqrt(w)
-
-
-def _amplitude_matrix(phi: PureState, system_dim: int) -> np.ndarray:
-    if phi.dim % system_dim != 0:
-        raise ValidationError(
-            f"purification dim {phi.dim} is not a multiple of system dim {system_dim}"
-        )
-    return phi.amplitudes.reshape(system_dim, phi.dim // system_dim)
-
-
-def _aligned_partial_isometry(cross: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Polar-align ``cross`` (r x d), keeping the given purifier-support columns.
-
-    Returns W (r x d) with Tr(W^dag cross) = ||cross||_1 and
-    W^dag W covering the columns flagged in ``support`` (needed so that the
-    rotated amplitude matrix still purifies the full state, not just the part
-    seen by the cross operator).
-    """
-    r, d = cross.shape
-    x, sig, yh = np.linalg.svd(cross)
-    y = yh.conj().T
-    k = min(r, d)
-    rank = int(np.sum(sig > max(1.0, sig[0] if sig.size else 0.0) * 1e-13))
-    y_cols = [y[:, j] for j in range(rank)]
-    x_cols = [x[:, j] for j in range(rank)]
-    # Zero singular directions are free; spend them on uncovered support
-    # directions so that W^dag W >= support projector.
-    for j in np.flatnonzero(support):
-        if len(y_cols) == k:
-            break
-        v = np.zeros(d, dtype=np.complex128)
-        v[j] = 1.0
-        for u in y_cols:
-            v -= u * (u.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            y_cols.append(v / nrm)
-    for j in range(rank, len(y_cols)):
-        # pair each extra right vector with an unused left singular vector
-        x_cols.append(x[:, j])
-    yk = np.column_stack(y_cols)
-    xk = np.column_stack(x_cols)
-    return xk @ yk.conj().T
 
 
 def optimal_purification(rho: DensityMatrix, phi_prime: PureState) -> PureState:
@@ -140,22 +95,25 @@ def optimal_purification(rho: DensityMatrix, phi_prime: PureState) -> PureState:
     ``phi_prime`` lives on system (x) purifier where the system factor has
     the dimension of ``rho``; the purifier is everything after it.  The
     achieved squared overlap equals F(rho, reduced state of phi_prime).
+
+    With X S Yh the thin SVD of the k x r cross operator F^dag A', the
+    amplitude matrix is A = F X Yh: Yh has k orthonormal rows, so
+    A A^dag = rho and <A', A> = Tr S = ||F^dag A'||_1.
     """
     d = rho.dim
-    a_prime = _amplitude_matrix(phi_prime, d)
-    r = a_prime.shape[1]
-    dec = linalg.hermitian_eig(rho.matrix)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    rank = int(np.sum(w > 1e-14))
-    if r < rank:
+    if phi_prime.dim % d != 0:
         raise ValidationError(
-            f"purifier dim {r} is smaller than rank {rank} of the state"
+            f"purification dim {phi_prime.dim} is not a multiple of system dim {d}"
         )
-    a0 = dec.eigenvectors * np.sqrt(w)  # canonical amplitude matrix, d x d
-    cross = a_prime.conj().T @ a0  # r x d
-    support = w > 1e-14
-    wmat = _aligned_partial_isometry(cross, support)
-    amps = a0 @ wmat.conj().T  # d x r
+    r = phi_prime.dim // d
+    a_prime = phi_prime.amplitudes.reshape(d, r)
+    f = linalg.psd_factor(rho.matrix)  # d x rank
+    if r < f.shape[1]:
+        raise ValidationError(
+            f"purifier dim {r} is smaller than rank {f.shape[1]} of the state"
+        )
+    x, _, yh = np.linalg.svd(f.conj().T @ a_prime, full_matrices=False)
+    amps = f @ x @ yh  # d x r
     vec = _fix_global_phase(amps.reshape(-1))
     return PureState(vec, rho.factor_dims + (r,))
 

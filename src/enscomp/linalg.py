@@ -19,10 +19,12 @@ MAX_DIM = 2 ** 14
 
 HERMITIAN_ATOL = 1e-9
 
-# Eigenvalues in [-EIG_CLAMP_TOL, 0) are treated as numerical zero and clamped
-# before sqrt/log; anything below -PSD_ATOL is a genuine PSD violation.
-EIG_CLAMP_TOL = 1e-9
-PSD_ATOL = 1e-6
+# The PSD spectral policy, applied by ``psd_eig`` alone: eigenvalues in
+# [-PSD_ATOL, 0) are rounding and clip to zero, anything below -PSD_ATOL is a
+# genuine PSD violation, and eigenvalues at or below RANK_RTOL times the
+# largest are eigh noise and are zeroed, so they never reach a sqrt.
+PSD_ATOL = 1e-9
+RANK_RTOL = 1e-14
 
 
 class EigDecomposition(NamedTuple):
@@ -129,37 +131,38 @@ def hermitian_eig(h) -> EigDecomposition:
     return EigDecomposition(w[order].astype(float), v[:, order])
 
 
-def _psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a PSD matrix; eigenvalues in [-1e-9, 0) are clamped.
+def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a PSD matrix under the spectral policy, w descending.
 
-    Eigenvalues below the numerical rank tolerance are zeroed outright:
-    sqrt() would otherwise inflate eigh noise of order 1e-17 into spurious
-    1e-9 directions that pollute trace norms downstream.
+    Raises ValidationError below -PSD_ATOL; every returned eigenvalue is >= 0,
+    and those at or below RANK_RTOL * max(w) are exactly 0.  Without that cut,
+    sqrt() would inflate eigh noise of order 1e-17 into spurious 1e-9
+    directions that pollute trace norms and purifications downstream.
     """
     dec = hermitian_eig(p)
     w = dec.eigenvalues
     if w.size and w[-1] < -PSD_ATOL:
         raise ValidationError(
-            f"matrix is not PSD (min eigenvalue {w[-1]:.3e})"
+            f"matrix is not PSD (min eigenvalue {w[-1]:.3e} < -{PSD_ATOL:.0e})"
         )
     w = np.clip(w, 0.0, None)
     if w.size:
-        w[w < w[0] * 1e-14] = 0.0
+        w[w <= w[0] * RANK_RTOL] = 0.0
     return w, dec.eigenvectors
 
 
 def psd_sqrt(p) -> np.ndarray:
-    """Hermitian PSD square root under the rank policy of ``_psd_eig``."""
-    w, v = _psd_eig(p)
+    """Hermitian PSD square root under the spectral policy of ``psd_eig``."""
+    w, v = psd_eig(p)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def psd_factor(p) -> np.ndarray:
     """Rank-revealing factor F with F F^dag = p.
 
-    Its columns are sqrt(w_i) v_i over the eigenvalues ``psd_sqrt`` keeps.
+    Its columns are sqrt(w_i) v_i over the eigenvalues ``psd_eig`` keeps.
     """
-    w, v = _psd_eig(p)
+    w, v = psd_eig(p)
     keep = w > 0.0
     return v[:, keep] * np.sqrt(w[keep])
 

@@ -31,9 +31,6 @@ from .errors import BoundViolationError, DimensionGuardError, ValidationError
 from .extopt import ExtensionAssignment, extended_ensemble
 from .states import DensityMatrix, Ensemble, ensemble_density, product_ensemble
 
-# eigenvalues at or below this never produce typical strings
-ZERO_EIG_FLOOR = 1e-15
-
 # auto sampling switches to Monte-Carlo above this many sequences
 EXACT_SEQUENCE_THRESHOLD = 4096
 EXACT_HARD_LIMIT = 65536
@@ -119,12 +116,9 @@ def typical_subspace(
         raise ValidationError("block length must be >= 1")
     d = rho.dim
     linalg.check_dim_guard(d ** n)
-    dec = linalg.hermitian_eig(rho.matrix)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    keep = w > ZERO_EIG_FLOOR
-    w = w[keep]
-    vecs = dec.eigenvectors[:, keep]
-    r = len(w)
+    w, vecs = linalg.psd_eig(rho.matrix)
+    r = int(np.count_nonzero(w))  # w is descending: the zeros come last
+    w, vecs = w[:r], vecs[:, :r]
 
     probs = _type_probs(w, n)
     # C order is lexicographic, so a stable sort breaks exact ties the same way.

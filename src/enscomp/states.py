@@ -44,12 +44,16 @@ class DensityMatrix:
                 f"factor dims {dims} do not multiply to dimension {m.shape[0]}"
             )
         if not linalg.is_hermitian(m):
-            raise ValidationError("density matrix is not Hermitian within 1e-9")
+            raise ValidationError(
+                f"density matrix is not Hermitian within {linalg.HERMITIAN_ATOL:g}"
+            )
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density matrix trace {tr} is not 1 within 1e-9")
+            raise ValidationError(
+                f"density matrix trace {tr} is not 1 within {TRACE_ATOL:g}"
+            )
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < -linalg.EIG_CLAMP_TOL:
+        if w[0] < -linalg.PSD_ATOL:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {w[0]:.3e}"
             )

@@ -24,6 +24,18 @@ def rand_unitary(rng, dim) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rand_rank_density(rng, dim, rank, dims=None):
+    """rho = U diag(w, 0, ...) U^dag with Haar U; returns rho and U.
+
+    The last ``dim - rank`` columns of U span the kernel of rho.
+    """
+    w = np.zeros(dim)
+    w[:rank] = rng.uniform(0.1, 1.0, size=rank)
+    u = rand_unitary(rng, dim)
+    m = (u * (w / w.sum())) @ u.conj().T
+    return DensityMatrix((m + m.conj().T) / 2.0, dims or (dim,)), u
+
+
 def rand_ensemble(rng, dim, count, pure=False) -> Ensemble:
     p = rng.uniform(0.1, 1.0, size=count)
     p /= p.sum()

@@ -5,7 +5,7 @@ from enscomp import extopt, linalg, states
 from enscomp.errors import ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
-from conftest import rand_density, rand_ensemble
+from conftest import rand_density, rand_ensemble, rand_rank_density
 
 
 def orthogonal_pair():
@@ -43,7 +43,17 @@ def test_extension_random_params_verify(rng):
         n = 2 * 2
         params = rng.normal(size=2 * n * n)
         ext = extopt.extension_from_params(rho, params, 2, 2)
-        assert extopt.verify_extension(ext, rho, tol=1e-9)
+        assert extopt.verify_extension(ext, rho)
+
+
+def test_extension_vanishes_on_the_kernel(rng):
+    for _ in range(50):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(1, d))
+        rho, u = rand_rank_density(rng, d, k)
+        params = rng.normal(size=extopt.param_count(2, 2))
+        ext = extopt.extension_from_params(rho, params, 2, 2)
+        assert np.abs(np.kron(u[:, k:], np.eye(2)).conj().T @ ext.matrix).max() < 1e-12
 
 
 def test_extension_capacity_error(rng):
@@ -64,13 +74,13 @@ def test_verify_extension_cases(rng):
     puri = canonical_purification(rho).density()
     assert extopt.verify_extension(puri, rho)
 
-    # a 1e-3 trace-norm defect must fail at tol 1e-6
+    # a 1e-3 trace-norm defect must fail
     other = rand_density(rng, 2)
     perturbed = DensityMatrix(
         linalg.tensor_product(0.999 * rho.matrix + 0.001 * other.matrix, sig.matrix),
         (2, 2),
     )
-    check = extopt.verify_extension(perturbed, rho, tol=1e-6)
+    check = extopt.verify_extension(perturbed, rho)
     assert not check and check.trace_norm_defect > 1e-4
 
 

@@ -13,7 +13,13 @@ from enscomp.fidelity import (
 from enscomp.errors import ValidationError
 from enscomp.states import DensityMatrix
 
-from conftest import rand_density, rand_ensemble, rand_pure_density, rand_unitary
+from conftest import (
+    rand_density,
+    rand_ensemble,
+    rand_pure_density,
+    rand_rank_density,
+    rand_unitary,
+)
 
 
 def nested_sqrt_fidelity(rho, sigma):
@@ -143,16 +149,51 @@ def test_optimal_purification_known_value():
     assert abs(overlap - 0.5) < 1e-10
 
 
+def _purification_cases(rng, d):
+    """(rho, phi_prime) pairs: full rank, rank-deficient, orthogonal supports,
+    sigma = rho, and a purifier of dimension rank(rho)."""
+    yield rand_density(rng, d), canonical_purification(rand_density(rng, d))
+    k = int(rng.integers(1, d))
+    rho, u = rand_rank_density(rng, d, k)
+    yield rho, canonical_purification(rand_density(rng, d))
+    yield rand_density(rng, d), canonical_purification(rho)
+    # sigma lives on ker(rho)
+    w = rng.uniform(0.1, 1.0, size=d - k)
+    sig = (u[:, k:] * (w / w.sum())) @ u[:, k:].conj().T
+    yield rho, canonical_purification(DensityMatrix((sig + sig.conj().T) / 2.0, (d,)))
+    yield rho, canonical_purification(rho)
+    # both rank k, purifier dimension k, sigma's factor rotated on the purifier
+    sig, _ = rand_rank_density(rng, d, k)
+    amps = linalg.psd_factor(sig.matrix) @ rand_unitary(rng, k)
+    yield rho, PureState(amps.reshape(-1), (d, k))
+
+
 def test_optimal_purification_achieves_fidelity(rng):
     for _ in range(100):
-        d = 3
-        rho, sig = rand_density(rng, d), rand_density(rng, d)
-        phi_prime = canonical_purification(sig)
-        phi = optimal_purification(rho, phi_prime)
-        overlap = abs(np.vdot(phi_prime.amplitudes, phi.amplitudes)) ** 2
-        assert abs(overlap - fidelity(rho, sig)) < 1e-8
-        amps = phi.amplitudes.reshape(d, d)
-        assert np.abs(amps @ amps.conj().T - rho.matrix).max() < 1e-9
+        d = int(rng.integers(2, 5))
+        for rho, phi_prime in _purification_cases(rng, d):
+            sig = DensityMatrix(
+                linalg.partial_trace(phi_prime.density().matrix, phi_prime.factor_dims, {0}),
+                (d,),
+            )
+            phi = optimal_purification(rho, phi_prime)
+            overlap = abs(np.vdot(phi_prime.amplitudes, phi.amplitudes)) ** 2
+            assert abs(overlap - fidelity(rho, sig)) < 1e-12
+            amps = phi.amplitudes.reshape(d, -1)
+            assert np.abs(amps @ amps.conj().T - rho.matrix).max() < 1e-9
+
+
+def test_purifications_vanish_on_the_kernel(rng):
+    for _ in range(50):
+        d = int(rng.integers(2, 6))
+        k = int(rng.integers(1, d))
+        rho, u = rand_rank_density(rng, d, k)
+        ker = u[:, k:]
+        amps = canonical_purification(rho).amplitudes.reshape(d, d)
+        assert np.abs(ker.conj().T @ amps).max() < 1e-12
+        rpe = rand_density(rng, 2 * d, dims=(d, 2))
+        ext = lemma_extension(rho, rpe, (d,), (2,))
+        assert np.abs(np.kron(ker, np.eye(2)).conj().T @ ext.matrix).max() < 1e-12
 
 
 def test_optimal_purification_purifier_too_small(rng):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enscomp import linalg
 from enscomp.errors import DimensionGuardError, ValidationError
 
-from conftest import rand_density
+from conftest import rand_density, rand_unitary
 
 
 def test_tensor_product_identities():
@@ -126,6 +127,12 @@ def test_psd_sqrt_iterated(rng):
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(ValidationError):
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(ValidationError):
+        linalg.psd_sqrt(np.diag([1.0, -2.0 * linalg.PSD_ATOL]))
+    # rounding within PSD_ATOL clips to zero
+    assert np.array_equal(
+        linalg.psd_sqrt(np.diag([1.0, -0.5 * linalg.PSD_ATOL])), np.diag([1.0, 0.0])
+    )
 
 
 def test_psd_factor_keeps_only_the_rank(rng):
@@ -135,6 +142,39 @@ def test_psd_factor_keeps_only_the_rank(rng):
     assert np.abs(f @ f.conj().T - p).max() < 1e-12
     r = linalg.psd_sqrt(p)
     assert np.abs(f @ f.conj().T - r @ r).max() < 1e-12
+
+
+# spectra mixing O(1) eigenvalues with eigh-noise-sized ones, exact zeros and
+# negative rounding within PSD_ATOL
+_psd_spectra = st.lists(
+    st.one_of(
+        st.floats(1e-3, 1.0),
+        st.floats(0.0, 1e-12),
+        st.just(0.0),
+        st.floats(-0.5 * linalg.PSD_ATOL, 0.0),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(spectrum=_psd_spectra, seed=st.integers(0, 2 ** 32 - 1))
+def test_psd_eig_policy(spectrum, seed):
+    d = len(spectrum)
+    u = rand_unitary(np.random.default_rng(seed), d)
+    h = (u * np.array(spectrum)) @ u.conj().T
+    h = (h + h.conj().T) / 2.0
+    raw = linalg.hermitian_eig(h).eigenvalues
+    w, v = linalg.psd_eig(h)
+    assert np.all(np.diff(w) <= 0.0) and np.all(w >= 0.0)
+    cut = w[0] * linalg.RANK_RTOL
+    assert np.array_equal(w == 0.0, raw <= cut)
+    assert np.array_equal(w[w > 0.0], raw[raw > cut])
+    # budget: the zeroed eigenvalues plus the backward error of eigh
+    zeroed = np.abs(raw[w == 0.0])
+    budget = (zeroed.max() if zeroed.size else 0.0) + 1e-14 * max(1.0, np.abs(raw).max())
+    assert np.linalg.norm((v * w) @ v.conj().T - h, 2) <= budget
 
 
 def test_singular_values_cases(rng):
