@@ -9,8 +9,6 @@ from . import linalg
 from .fidelity import fidelity
 from .states import DensityMatrix, Ensemble, ensemble_density, holevo_quantity, von_neumann_entropy
 
-REPORT_SLACK = 1e-9
-
 # The entropy-continuity inequality only holds above this fidelity floor.
 CONTINUITY_FIDELITY_FLOOR = 1.0 - 1.0 / 36.0
 
@@ -32,7 +30,7 @@ class BoundReport:
 
     def __post_init__(self):
         if self.applicable:
-            expected = self.lhs <= self.rhs + REPORT_SLACK
+            expected = self.lhs <= self.rhs + linalg.ATOL
             if self.satisfied != expected:
                 raise ValueError("satisfied flag inconsistent with lhs/rhs")
 
@@ -44,7 +42,7 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool = True) -> Bound
         name=name,
         lhs=lhs,
         rhs=rhs,
-        satisfied=(lhs <= rhs + REPORT_SLACK) if applicable else True,
+        satisfied=(lhs <= rhs + linalg.ATOL) if applicable else True,
         slack=rhs - lhs,
         applicable=applicable,
     )

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import __version__, bounds, extopt, protocol, states
+from . import __version__, bounds, extopt, linalg, protocol, states
 from .errors import (
     BoundViolationError,
     DimensionGuardError,
@@ -70,8 +70,9 @@ def _fmt(x) -> str:
 def load_ensemble(path: str) -> states.Ensemble:
     """Load and validate an ensemble JSON file.
 
-    Probabilities off by at most 1e-9 are renormalized; larger deviations are
-    rejected.  State validation failures name the offending state index.
+    Probability sums off by at most ``linalg.ATOL`` are renormalized; larger
+    deviations are rejected.  State validation failures name the offending
+    state index.
     """
     try:
         with open(path) as fh:
@@ -97,9 +98,9 @@ def load_ensemble(path: str) -> states.Ensemble:
             f"{path}: probs must be numbers and factor_dims a list of integers ({exc})"
         ) from exc
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > linalg.ATOL:
         raise ValidationError(
-            f"probability sum {total!r} deviates from 1 by more than 1e-9"
+            f"probability sum {total!r} deviates from 1 by more than {linalg.ATOL:g}"
         )
     probs = probs / total
     sts = []
@@ -268,7 +269,7 @@ def cmd_minimize(args) -> int:
     e = load_ensemble(args.ensemble)
     cfg = _optimizer_config(args)
     result = extopt.minimize_extension_entropy(e, cfg)
-    e_eff = states.product_ensemble(e, cfg.n_block) if cfg.n_block > 1 else e
+    e_eff = states.product_ensemble(e, cfg.n_block)
     report = bounds.envelope_check(e_eff, result.best_entropy)
     rows = []
     best_index = min(
@@ -331,7 +332,7 @@ def _resolve_assignment(args, e) -> extopt.ExtensionAssignment:
         return load_assignment(args.assignment)
     cfg = _optimizer_config(args)
     if args.trivial:
-        blocked = states.product_ensemble(e, args.n_block) if args.n_block > 1 else e
+        blocked = states.product_ensemble(e, args.n_block)
         return extopt.trivial_assignment(blocked, cfg.ancilla_dim, cfg.purifier_dim)
     return extopt.minimize_extension_entropy(e, cfg).best_assignment
 

@@ -34,12 +34,6 @@ from .states import (
 # reported entropies are always unregularized.
 GRAD_REGULARIZATION = 1e-10
 
-LOWER_BOUND_SLACK = 1e-6
-
-# Trace-norm budget of an extension: the eigenvalue mass a purification
-# register may drop, and the partial-trace defect verify_extension accepts.
-EXTENSION_TRACE_TOL = 1e-9
-
 # L-BFGS-B stopping tolerances: relative entropy decrease (ftol) and
 # projected gradient size (gtol).
 ENTROPY_TOLERANCE = 1e-11
@@ -131,7 +125,7 @@ def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
     w, v = linalg.psd_eig(rho.matrix)
     r = min(rho.dim, capacity)
     discarded = float(np.sum(w[r:]))
-    if discarded > EXTENSION_TRACE_TOL:
+    if discarded > linalg.ATOL:
         raise ValidationError(
             f"ancilla*purifier capacity {capacity} cannot carry the state: "
             f"discarded eigenvalue mass {discarded:.3e}"
@@ -271,7 +265,7 @@ def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray
 
 
 def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionCheck:
-    """Check Tr_anc(rho_ext) = rho to ``EXTENSION_TRACE_TOL`` in trace norm."""
+    """Check Tr_anc(rho_ext) = rho to ``linalg.ATOL`` in trace norm."""
     n_sys = len(rho.factor_dims)
     if rho_ext.factor_dims[:n_sys] != rho.factor_dims:
         raise ValidationError(
@@ -282,7 +276,7 @@ def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionChe
         rho_ext.matrix, rho_ext.factor_dims, range(n_sys)
     )
     defect = linalg.trace_norm(reduced - rho.matrix)
-    return ExtensionCheck(defect <= EXTENSION_TRACE_TOL, float(defect))
+    return ExtensionCheck(defect <= linalg.ATOL, float(defect))
 
 
 def _assignment_from_flat(
@@ -305,10 +299,10 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     # imported here: scipy.optimize doubles the import time of the package
     import scipy.optimize
 
-    if cfg.n_block > 1:
-        e = product_ensemble(e, cfg.n_block)
+    dim_q = e.dim
+    e = product_ensemble(e, cfg.n_block)
     ancilla_dim = cfg.ancilla_dim
-    cap = bounds.ancilla_cap(cfg.n_block, int(round(e.dim ** (1.0 / cfg.n_block))))
+    cap = bounds.ancilla_cap(cfg.n_block, dim_q)
     if ancilla_dim > cap:
         warnings.warn(
             f"ancilla_dim {ancilla_dim} exceeds the sufficiency cap {cap}; clamping"
@@ -369,7 +363,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
             best_entropy = final_s
             best_x = res.x
     lower = holevo_quantity(e)
-    if best_entropy < lower - LOWER_BOUND_SLACK:
+    if best_entropy < lower - bounds.ENVELOPE_TOL:
         raise BoundViolationError(
             f"optimum {best_entropy} undercuts the Holevo lower bound {lower}"
         )

@@ -17,13 +17,15 @@ from .errors import DimensionGuardError, ValidationError
 # so callers can raise it deliberately for a big run.
 MAX_DIM = 2 ** 14
 
-HERMITIAN_ATOL = 1e-9
+# The one absolute rounding budget of every runtime check: hermiticity, unit
+# trace, probability sums, extension trace defects, fidelity ranges and the
+# paper's inequalities all accept a violation of at most ATOL.
+ATOL = 1e-9
 
 # The PSD spectral policy, applied by ``psd_eig`` alone: eigenvalues in
-# [-PSD_ATOL, 0) are rounding and clip to zero, anything below -PSD_ATOL is a
-# genuine PSD violation, and eigenvalues at or below RANK_RTOL times the
-# largest are eigh noise and are zeroed, so they never reach a sqrt.
-PSD_ATOL = 1e-9
+# [-ATOL, 0) are rounding and clip to zero, anything below -ATOL is a genuine
+# PSD violation, and eigenvalues at or below RANK_RTOL times the largest are
+# eigh noise and are zeroed, so they never reach a sqrt.
 RANK_RTOL = 1e-14
 
 
@@ -48,7 +50,7 @@ def check_dim_guard(dim: int) -> None:
 
 def _as_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite iff both parts are
         raise ValidationError("matrix contains non-finite entries")
     return a
 
@@ -111,20 +113,15 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return res.reshape(kept_dim, kept_dim)
 
 
-def is_hermitian(m) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[-1] and np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL
-
-
 def hermitian_eig(h) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     h = _as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if dev > HERMITIAN_ATOL:
+    if dev > ATOL:
         raise ValidationError(
-            f"matrix is not Hermitian (max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e})"
+            f"matrix is not Hermitian (max deviation {dev:.3e} > {ATOL:.0e})"
         )
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
@@ -134,16 +131,16 @@ def hermitian_eig(h) -> EigDecomposition:
 def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a PSD matrix under the spectral policy, w descending.
 
-    Raises ValidationError below -PSD_ATOL; every returned eigenvalue is >= 0,
+    Raises ValidationError below -ATOL; every returned eigenvalue is >= 0,
     and those at or below RANK_RTOL * max(w) are exactly 0.  Without that cut,
-    sqrt() would inflate eigh noise of order 1e-17 into spurious 1e-9
-    directions that pollute trace norms and purifications downstream.
+    sqrt() would inflate eigh noise of order 1e-17 into spurious directions
+    of weight 3e-9 that pollute trace norms and purifications downstream.
     """
     dec = hermitian_eig(p)
     w = dec.eigenvalues
-    if w.size and w[-1] < -PSD_ATOL:
+    if w.size and w[-1] < -ATOL:
         raise ValidationError(
-            f"matrix is not PSD (min eigenvalue {w[-1]:.3e} < -{PSD_ATOL:.0e})"
+            f"matrix is not PSD (min eigenvalue {w[-1]:.3e} < -{ATOL:.0e})"
         )
     w = np.clip(w, 0.0, None)
     if w.size:

@@ -69,7 +69,6 @@ class SequenceRecord:
 class ProtocolResult:
     block_length: int  # signals per channel use (n for JS, n_block*k for EP)
     channel_dim: int
-    rate: float
     avg_fidelity: float
     per_sequence: tuple[SequenceRecord, ...]
     sampled: bool
@@ -78,11 +77,12 @@ class ProtocolResult:
     ext_avg_fidelity: float | None = None
 
     def __post_init__(self):
-        expected = rate_of(self.channel_dim, self.block_length)
-        if abs(self.rate - expected) > 1e-12:
-            raise ValidationError("rate inconsistent with channel_dim/block_length")
-        if not -1e-9 <= self.avg_fidelity <= 1.0 + 1e-9:
+        if not -linalg.ATOL <= self.avg_fidelity <= 1.0 + linalg.ATOL:
             raise ValidationError(f"average fidelity {self.avg_fidelity} out of range")
+
+    @property
+    def rate(self) -> float:
+        return rate_of(self.channel_dim, self.block_length)
 
 
 def rate_of(channel_dim: int, signals: int) -> float:
@@ -302,7 +302,7 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         if outputs is None:
             return fid, None
         traced = min(_uhlmann(l, _sequence_rows(ts, outputs, seq)), 1.0)
-        if traced < fid - 1e-9:
+        if traced < fid - linalg.ATOL:
             raise BoundViolationError(
                 f"partial trace reduced fidelity: {traced} < {fid}"
             )
@@ -382,7 +382,6 @@ def _simulate(
     return ProtocolResult(
         block_length=signals,
         channel_dim=ts.dim,
-        rate=rate_of(ts.dim, signals),
         avg_fidelity=avg,
         per_sequence=tuple(records),
         sampled=not exact,

@@ -12,7 +12,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionGuardError, ValidationError
 
-TRACE_ATOL = 1e-9
 # 0 * log 0 = 0: eigenvalues at or below this floor do not enter entropy sums
 ENTROPY_EIG_FLOOR = 1e-12
 # eigenvalues above this count towards a state's support dimension
@@ -43,20 +42,12 @@ class DensityMatrix:
             raise ValidationError(
                 f"factor dims {dims} do not multiply to dimension {m.shape[0]}"
             )
-        if not linalg.is_hermitian(m):
-            raise ValidationError(
-                f"density matrix is not Hermitian within {linalg.HERMITIAN_ATOL:g}"
-            )
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > linalg.ATOL:
             raise ValidationError(
-                f"density matrix trace {tr} is not 1 within {TRACE_ATOL:g}"
+                f"density matrix trace {tr} is not 1 within {linalg.ATOL:g}"
             )
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < -linalg.PSD_ATOL:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {w[0]:.3e}"
-            )
+        linalg.psd_eig(m)  # rejects non-Hermitian and non-PSD matrices
 
     @property
     def dim(self) -> int:
@@ -72,12 +63,16 @@ class Ensemble:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
         object.__setattr__(self, "states", tuple(self.states))
         if p.ndim != 1 or len(p) != len(self.states) or len(p) == 0:
             raise ValidationError("probs and states must have equal nonzero length")
+        if not np.isfinite(p).all():
+            raise ValidationError(f"probabilities must be finite, got {p.tolist()}")
         if np.any(p < -1e-15):
             raise ValidationError("probabilities must be nonnegative")
+        # tolerated negatives are rounding and store as 0, like psd_eig's clip
+        p = np.clip(p, 0.0, None)
+        object.__setattr__(self, "probs", p)
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValidationError(f"probability sum {p.sum()} is not 1 within 1e-12")
         dims0 = self.states[0].factor_dims

@@ -172,8 +172,26 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(payload))
     assert cli.main(["analyze", str(bad2)]) == 2
-    # resource guard -> 4
+    # a non-finite probability is a validation error that names probabilities
+    payload["probs"] = [float("nan"), 1.0]
+    bad2.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["analyze", str(bad2)]) == 2
+    assert "probabilities" in capsys.readouterr().err
+    # a tolerated rounding negative stores as 0, so Monte-Carlo draws work
+    payload["probs"] = [-1e-16, 1.0]
+    bad2.write_text(json.dumps(payload))
+    assert cli.main(["simulate-js", str(bad2), "--n", "2", "--dim-cap", "2",
+                     "--sampling", "mc", "--samples", "8"]) == 0
+    # a block length below 1 is a validation error, with or without a minimizer run
     path = write_ensemble(tmp_path, reference.orthogonal_pair())
+    for nb in ("0", "-1"):
+        assert cli.main(["minimize", path, "--n-block", nb, "--multistarts", "1"]) == 2
+        assert cli.main(["simulate-ep", path, "--k", "1", "--dim-cap", "2",
+                         "--n-block", nb, "--multistarts", "1"]) == 2
+        assert cli.main(["simulate-ep", path, "--k", "1", "--dim-cap", "2",
+                         "--n-block", nb, "--trivial"]) == 2
+    # resource guard -> 4
     assert cli.main(["simulate-js", path, "--n", "9", "--eps", "0.1"]) == 4
     # bound violation -> 3 (forced through a monkeypatched report)
     violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0, satisfied=False, slack=-1.0)

@@ -125,14 +125,9 @@ def test_psd_sqrt_iterated(rng):
 
 
 def test_psd_sqrt_rejects_negative():
+    # the boundary cases at 0.5 and 2 ATOL are in test_atol.py
     with pytest.raises(ValidationError):
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
-    with pytest.raises(ValidationError):
-        linalg.psd_sqrt(np.diag([1.0, -2.0 * linalg.PSD_ATOL]))
-    # rounding within PSD_ATOL clips to zero
-    assert np.array_equal(
-        linalg.psd_sqrt(np.diag([1.0, -0.5 * linalg.PSD_ATOL])), np.diag([1.0, 0.0])
-    )
 
 
 def test_psd_factor_keeps_only_the_rank(rng):
@@ -145,13 +140,13 @@ def test_psd_factor_keeps_only_the_rank(rng):
 
 
 # spectra mixing O(1) eigenvalues with eigh-noise-sized ones, exact zeros and
-# negative rounding within PSD_ATOL
+# negative rounding within ATOL
 _psd_spectra = st.lists(
     st.one_of(
         st.floats(1e-3, 1.0),
         st.floats(0.0, 1e-12),
         st.just(0.0),
-        st.floats(-0.5 * linalg.PSD_ATOL, 0.0),
+        st.floats(-0.5 * linalg.ATOL, 0.0),
     ),
     min_size=1,
     max_size=5,

@@ -19,6 +19,22 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims do not multiply
 
 
+def test_ensemble_validation():
+    pair = (DensityMatrix(np.diag([1.0, 0.0]), (2,)), DensityMatrix(np.diag([0.0, 1.0]), (2,)))
+    with pytest.raises(ValidationError):
+        Ensemble([1.0], pair)  # lengths differ
+    with pytest.raises(ValidationError):
+        Ensemble([1.5, -0.5], pair)  # negative probability
+    with pytest.raises(ValidationError):
+        Ensemble([0.5, 0.4], pair)  # sum != 1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="probabilities"):
+            Ensemble([bad, 1.0], pair)
+    # a tolerated rounding negative is stored as exactly 0
+    e = Ensemble([-1e-16, 1.0], pair)
+    assert e.probs[0] == 0.0 and e.probs[1] == 1.0
+
+
 def test_ensemble_density_cases(rng):
     rho = rand_density(rng, 3)
     single = Ensemble([1.0], (rho,))
