@@ -12,13 +12,19 @@ complex matrix packed into a real coefficient vector, so plain unconstrained
 optimizers apply.  The entropy gradient is computed analytically by chaining
 d S / d rho = -(log2 rho + I/ln 2) through the parametrization, using the
 adjoint of the Frechet derivative of the matrix exponential.
+
+Both come from one eigh of H = -i(A - A^dag), batched over the states:
+expm(iH) = U e^{i theta} U^dag, and the Daleckii-Krein formula gives the
+Frechet derivative from the same U and theta (Najfeld & Havel, Adv. Appl.
+Math. 16, 321 (1995); Higham, Functions of Matrices, ch. 3 and 10).  Its
+divided differences are written with sinc, which never divides by an
+eigenvalue gap, so degenerate eigenvalues need no threshold.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import bounds, linalg
 from .errors import BoundViolationError, ValidationError
@@ -73,6 +79,13 @@ class OptimizerConfig:
     purifier_dim: int | None = None  # None -> system_dim * ancilla_dim
     n_block: int = 1
 
+    def __post_init__(self):
+        for name, low in (("multistarts", 1), ("max_iters", 0), ("ancilla_dim", 1),
+                          ("purifier_dim", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
+
 
 @dataclass(frozen=True)
 class StartRecord:
@@ -105,15 +118,36 @@ def param_count(ancilla_dim: int, purifier_dim: int) -> int:
     return 2 * n * n
 
 
-def _unpack_generator(params: np.ndarray, n: int) -> np.ndarray:
-    a = params[: n * n].reshape(n, n) + 1j * params[n * n :].reshape(n, n)
-    return a - a.conj().T
-
-
 def _isometry(params: np.ndarray, n: int, r: int):
-    g = _unpack_generator(np.asarray(params, dtype=float).reshape(-1), n)
-    u = scipy.linalg.expm(g)
-    return u[:, :r], g
+    """W = expm(A - A^dag)[:, :r] for params of shape (..., 2 n^2), plus (U, theta).
+
+    H = -i(A - A^dag) is exactly Hermitian in floating point, so one eigh
+    H = U diag(theta) U^dag, batched over the leading axes, gives
+    expm(A - A^dag) = U diag(e^{i theta}) U^dag.
+    """
+    p = np.asarray(params, dtype=float)
+    p = p.reshape(p.shape[:-1] + (2, n, n))
+    a = p[..., 0, :, :] + 1j * p[..., 1, :, :]
+    theta, u = np.linalg.eigh(-1j * (a - a.conj().swapaxes(-1, -2)))
+    w = (u * np.exp(1j * theta)[..., None, :]) @ u[..., :r, :].conj().swapaxes(-1, -2)
+    return w, u, theta
+
+
+def _expm_adjoint_derivative(u: np.ndarray, theta: np.ndarray, z: np.ndarray):
+    """L*(G, Z) for G = U diag(i theta) U^dag and Z of shape (..., n, r), padded by zeros.
+
+    Daleckii-Krein: L(G, E) = U (Gamma o U^dag E U) U^dag with
+    Gamma_jk = (e^{i theta_j} - e^{i theta_k}) / (i (theta_j - theta_k))
+             = e^{i (theta_j + theta_k)/2} sinc((theta_j - theta_k) / 2 pi),
+    and the adjoint under Re Tr(X^dag Y) takes conj(Gamma).  The sinc form is
+    an entire function of the eigenvalues, exact on equal ones, so the error
+    is eigh's backward error alone.
+    """
+    s = theta[..., :, None] + theta[..., None, :]
+    t = theta[..., :, None] - theta[..., None, :]
+    gamma_conj = np.exp(-0.5j * s) * np.sinc(t / (2.0 * np.pi))
+    uh = u.conj().swapaxes(-1, -2)
+    return u @ (gamma_conj * (uh @ (z @ u[..., : z.shape[-1], :]))) @ uh
 
 
 def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
@@ -136,13 +170,13 @@ def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
 def _extension_amplitudes(
     b: np.ndarray, params: np.ndarray, ancilla_dim: int, purifier_dim: int
 ):
-    """Amplitude matrix K on (system*ancilla) x purifier, plus cached pieces."""
-    d, r = b.shape
-    n = ancilla_dim * purifier_dim
-    w_iso, g = _isometry(params, n, r)
-    m = b @ w_iso.T  # d x n
-    k = m.reshape(d, ancilla_dim, purifier_dim).reshape(d * ancilla_dim, purifier_dim)
-    return k, g
+    """Amplitudes K on (system*ancilla) x purifier, plus the generator's (U, theta).
+
+    Batched over the leading axes of the registers ``b`` and ``params``.
+    """
+    w_iso, u, theta = _isometry(params, ancilla_dim * purifier_dim, b.shape[-1])
+    m = b @ w_iso.swapaxes(-1, -2)  # ... x d x n
+    return m.reshape(m.shape[:-2] + (-1, purifier_dim)), u, theta
 
 
 def extension_from_params(
@@ -160,7 +194,7 @@ def extension_from_params(
         raise ValidationError(
             f"params length {params.size}, expected {2 * n * n}"
         )
-    k, _ = _extension_amplitudes(b, params, ancilla_dim, purifier_dim)
+    k, _, _ = _extension_amplitudes(b, params, ancilla_dim, purifier_dim)
     ext = k @ k.conj().T
     ext = (ext + ext.conj().T) / 2.0
     return DensityMatrix(ext, rho.factor_dims + (ancilla_dim,))
@@ -192,22 +226,21 @@ def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
     return Ensemble(e.probs, exts)
 
 
-def _registers(e: Ensemble, ancilla_dim: int, purifier_dim: int):
+def _registers(e: Ensemble, ancilla_dim: int, purifier_dim: int) -> np.ndarray:
+    """The states' purification registers stacked as N x d x r."""
     cap = ancilla_dim * purifier_dim
-    return [_purification_register(s, cap) for s in e.states]
+    return np.stack([_purification_register(s, cap) for s in e.states])
 
 
 def _avg_extension(
     e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
 ):
-    dim_ext = e.dim * ancilla_dim
-    rho = np.zeros((dim_ext, dim_ext), dtype=np.complex128)
-    cache = []
-    for i, (b, p) in enumerate(zip(regs, np.split(flat, len(regs)))):
-        k, g = _extension_amplitudes(b, p, ancilla_dim, purifier_dim)
-        rho += e.probs[i] * (k @ k.conj().T)
-        cache.append((k, g, b))
-    return (rho + rho.conj().T) / 2.0, cache
+    """sum_i p_i K_i K_i^dag, plus the stacked K and the generators' (U, theta)."""
+    k, u, theta = _extension_amplitudes(
+        regs, flat.reshape(len(regs), -1), ancilla_dim, purifier_dim
+    )
+    rho = np.tensordot(e.probs, k @ k.conj().swapaxes(-1, -2), axes=1)
+    return (rho + rho.conj().T) / 2.0, (k, u, theta)
 
 
 def assignment_entropy(
@@ -231,8 +264,7 @@ def _entropy_and_gradient(
     e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
 ):
     """Regularized entropy (bits) and its gradient w.r.t. the flat params."""
-    n = ancilla_dim * purifier_dim
-    rho, cache = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
+    rho, (k, u, theta) = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
     dim = rho.shape[0]
     eps = GRAD_REGULARIZATION / dim
     w, v = np.linalg.eigh(rho)
@@ -241,17 +273,13 @@ def _entropy_and_gradient(
     # dS/drho in the eigenbasis of rho
     d_diag = -(np.log2(w_reg) + 1.0 / np.log(2.0))
     d_mat = (v * d_diag) @ v.conj().T
-    grads = []
-    for i, (k, g, b) in enumerate(cache):
-        zk = e.probs[i] * (d_mat @ k)  # (d*a) x q
-        zm = zk.reshape(e.dim, ancilla_dim, purifier_dim).reshape(e.dim, n)
-        zw = zm.T @ b.conj()  # n x r, conj of ZM^dag B
-        zw_full = np.zeros((n, n), dtype=np.complex128)
-        zw_full[:, : zw.shape[1]] = zw
-        zg = scipy.linalg.expm_frechet(-g, zw_full, compute_expm=False)
-        za = zg - zg.conj().T
-        grads.append(np.concatenate([2.0 * za.real.ravel(), 2.0 * za.imag.ravel()]))
-    return value, np.concatenate(grads)
+    zk = e.probs[:, None, None] * (d_mat @ k)  # N x (d*a) x q
+    zm = zk.reshape(len(k), e.dim, -1)
+    zw = zm.swapaxes(-1, -2) @ regs.conj()  # N x n x r, the gradient in W
+    zg = _expm_adjoint_derivative(u, theta, zw)
+    za = zg - zg.conj().swapaxes(-1, -2)
+    grad = np.concatenate([2.0 * za.real, 2.0 * za.imag], axis=1)
+    return value, grad.reshape(-1)
 
 
 def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import linalg
 from .errors import BoundViolationError, DimensionGuardError, ValidationError
@@ -222,6 +221,9 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
     roundoff), the kernel's one rank tolerance; the dropped PSD Schur complement,
     of trace <= m^2 * u * max_k g_kk (5e-12 at m = 222), moves into the junk mass.
     """
+    # imported here: scipy.linalg more than doubles the import time of the package
+    from scipy.linalg import lapack
+
     c, piv, rank, info = lapack.zpstrf(g, lower=1)
     if info < 0:
         raise ValidationError(f"zpstrf rejected argument {-info}")
@@ -266,11 +268,9 @@ def _uhlmann(l: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
-def _check_budget(elements: int) -> None:
+def _check_budget(elements: int, what: str = "per-sequence array") -> None:
     if elements > MATERIALIZE_ELEMENT_BUDGET:
-        raise DimensionGuardError(
-            f"per-sequence array of {elements} elements exceeds the element budget"
-        )
+        raise DimensionGuardError(f"{what} of {elements} elements exceeds the element budget")
 
 
 def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1):
@@ -331,13 +331,12 @@ def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
 def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
     if count < 1:
         raise ValidationError(f"Monte-Carlo sample count must be >= 1, got {count}")
+    _check_budget(count * n, "Monte-Carlo draw array")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.choice(len(probs), size=(count, n), p=probs)
-    counts: dict[tuple, int] = {}
-    for row in draws:
-        key = tuple(int(x) for x in row)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    keys, first, counts = np.unique(draws, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)  # first-draw order fixes per_sequence and orbit representatives
+    return dict(zip(map(tuple, keys[order].tolist()), counts[order].tolist()))
 
 
 def _simulate(

@@ -4,13 +4,16 @@ They materialize the typical basis V as a (source_dim**n) x m matrix and
 the compressed state V Y V^dag, so they serve only small cases.  The
 library's fidelity kernel never builds these operators.  ``typical_strings``
 is the loop-and-sort reference for the string order of ``typical_subspace``.
+``expm_frechet_gradient`` is the minimizer's objective and gradient by
+scipy's Pade ``expm`` and ``expm_frechet``, one state at a time.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
 
-from enscomp import linalg
+from enscomp import extopt, linalg
 from enscomp.fidelity import PureState
 from enscomp.states import DensityMatrix
 
@@ -133,3 +136,46 @@ def ep_traced_fidelity(ts, ext_states, block_states, anc_dim: int, seq) -> float
     sqrt_orig = linalg.kron_all([linalg.psd_sqrt(block_states[c].matrix) for c in seq])
     sv = linalg.singular_values(sqrt_orig @ linalg.psd_sqrt(omega))
     return min(float(np.sum(sv) ** 2), 1.0)
+
+
+def expm_isometry(params, n: int, r: int) -> np.ndarray:
+    """expm(A - A^dag)[:, :r] by scipy's Pade route, A packed as in extopt."""
+    p = np.asarray(params, dtype=float).reshape(2, n, n)
+    a = p[0] + 1j * p[1]
+    return scipy.linalg.expm(a - a.conj().T)[:, :r]
+
+
+def expm_frechet_gradient(e, assignment) -> tuple[float, np.ndarray]:
+    """Regularized entropy (bits) and its gradient in the flat parameters.
+
+    Chains dS/drho = -(log2 rho + I/ln 2) through K_i = reshape(B_i W_i^T)
+    and W_i = expm(G_i)[:, :r], with the adjoint Frechet derivative of expm
+    at G_i taken as expm_frechet(-G_i, .), since G_i^dag = -G_i.
+    """
+    a_dim, q_dim = assignment.ancilla_dim, assignment.purifier_dim
+    n = a_dim * q_dim
+    dim_ext = e.dim * a_dim
+    rho = np.zeros((dim_ext, dim_ext), dtype=np.complex128)
+    cache = []
+    for p, st, x in zip(e.probs, e.states, assignment.params):
+        b = extopt._purification_register(st, n)
+        v = np.asarray(x, dtype=float).reshape(2, n, n)
+        a = v[0] + 1j * v[1]
+        g = a - a.conj().T
+        k = (b @ scipy.linalg.expm(g)[:, : b.shape[1]].T).reshape(dim_ext, q_dim)
+        rho += p * (k @ k.conj().T)
+        cache.append((k, g, b))
+    rho = (rho + rho.conj().T) / 2.0
+    w, vec = np.linalg.eigh(rho)
+    w_reg = np.clip(w, 0.0, None) + extopt.GRAD_REGULARIZATION / dim_ext
+    value = float(-(w_reg * np.log2(w_reg)).sum())
+    d_mat = (vec * -(np.log2(w_reg) + 1.0 / np.log(2.0))) @ vec.conj().T
+    grads = []
+    for p, (k, g, b) in zip(e.probs, cache):
+        zm = (p * (d_mat @ k)).reshape(e.dim, n)
+        zw = np.zeros((n, n), dtype=np.complex128)
+        zw[:, : b.shape[1]] = zm.T @ b.conj()
+        zg = scipy.linalg.expm_frechet(-g, zw, compute_expm=False)
+        za = zg - zg.conj().T
+        grads.append(np.concatenate([2.0 * za.real.ravel(), 2.0 * za.imag.ravel()]))
+    return value, np.concatenate(grads)

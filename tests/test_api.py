@@ -67,9 +67,37 @@ def test_public_names_are_pinned():
     assert names == sorted(PUBLIC_NAMES)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the minimizer needs scipy.optimize, which doubles the import time
+def _run_without_scipy(code: str) -> None:
+    """Run ``code`` in a fresh interpreter; it must leave no scipy module loaded.
+
+    scipy.linalg and scipy.optimize together more than double the package's
+    import time, so only the Cholesky route and the minimizer load them.
+    """
     src = pathlib.Path(enscomp.__file__).resolve().parent.parent
-    code = "import sys, enscomp.cli; sys.exit('scipy.optimize' in sys.modules)"
+    check = (
+        "; loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        "; sys.exit(f'scipy loaded: {loaded[:3]}' if loaded else 0)"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code + check], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    _run_without_scipy("import sys, enscomp.cli")
+
+
+def test_rows_route_simulation_leaves_scipy_unloaded(tmp_path):
+    # pure signals have rank 1, so every sequence takes the rows route
+    from enscomp import cli, reference
+
+    path = tmp_path / "zero-plus.json"
+    cli.save_ensemble(reference.zero_plus_pair(), str(path))
+    out = tmp_path / "out.csv"
+    _run_without_scipy(
+        "import sys, enscomp.cli; "
+        f"assert enscomp.cli.main(['simulate-js', {str(path)!r}, '--n', '4', "
+        f"'--dim-cap', '9', '--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text().count("\n") > 1

@@ -191,8 +191,17 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                          "--n-block", nb, "--multistarts", "1"]) == 2
         assert cli.main(["simulate-ep", path, "--k", "1", "--dim-cap", "2",
                          "--n-block", nb, "--trivial"]) == 2
+    # optimizer arguments are checked once, in OptimizerConfig
+    for bad_arg in (["--ancilla-dim", "-1"], ["--purifier-dim", "0"],
+                    ["--multistarts", "0"], ["--max-iters", "-1"]):
+        capsys.readouterr()
+        assert cli.main(["minimize", path, "--multistarts", "1"] + bad_arg) == 2
+        assert bad_arg[0][2:].replace("-", "_") in capsys.readouterr().err
     # resource guard -> 4
     assert cli.main(["simulate-js", path, "--n", "9", "--eps", "0.1"]) == 4
+    # a Monte-Carlo draw array past the element budget is refused before drawing
+    assert cli.main(["simulate-js", path, "--n", "2", "--dim-cap", "2", "--sampling", "mc",
+                     "--samples", "1000000000000000"]) == 4
     # bound violation -> 3 (forced through a monkeypatched report)
     violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0, satisfied=False, slack=-1.0)
     monkeypatch.setattr(cli, "_simulate_reports", lambda e, res: [violated])

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,31 @@ def test_js_protocol_fidelity_monotone_in_subspace_size():
         for eps in (0.2, 0.1, 0.05, 0.01)
     ]
     assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:]))
+
+
+def test_mc_draws_count_rows_in_first_draw_order():
+    probs = np.array([0.5, 0.3, 0.2])
+    counts = protocol._mc_draws(probs, 4, 500, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
+    expect: dict[tuple, int] = {}
+    for row in rng.choice(3, size=(500, 4), p=probs):
+        key = tuple(int(x) for x in row)
+        expect[key] = expect.get(key, 0) + 1
+    assert list(counts.items()) == list(expect.items())
+    assert all(type(c) is int for key in counts for c in key + (counts[key],))
+
+
+def test_mc_draw_budget_guard_allocates_nothing():
+    n = 12
+    count = protocol.MATERIALIZE_ELEMENT_BUDGET // n + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError):
+            protocol._mc_draws(np.array([0.5, 0.5]), n, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_js_protocol_mc_deterministic_and_close_to_exact():
