@@ -323,6 +323,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     draws its own sub-seed from (seed, start index).  L-BFGS-B minimizes the
     regularized entropy with the analytic gradient; reported entropies are
     unregularized.  Ties across starts break toward the lowest start index.
+    A best start that did not converge is reported with a UserWarning.
     """
     # imported here: scipy.optimize doubles the import time of the package
     import scipy.optimize
@@ -360,7 +361,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
 
     history = []
     best_entropy = np.inf
-    best_x = starts[0]
+    best_x, best_idx = starts[0], 0
     for idx, x0 in enumerate(starts):
         res = scipy.optimize.minimize(
             objective,
@@ -389,7 +390,13 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         )
         if final_s < best_entropy:
             best_entropy = final_s
-            best_x = res.x
+            best_x, best_idx = res.x, idx
+    best = history[best_idx]
+    if not best.converged:
+        warnings.warn(
+            f"best start {best_idx} did not converge in {best.iterations} iterations "
+            f"(max_iters {cfg.max_iters}: {best.message}); its entropy may sit above the optimum"
+        )
     lower = holevo_quantity(e)
     if best_entropy < lower - bounds.ENVELOPE_TOL:
         raise BoundViolationError(

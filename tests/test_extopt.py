@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,25 @@ def test_minimize_respects_ancilla_cap(rng):
     with pytest.warns(UserWarning):
         res = extopt.minimize_extension_entropy(e, cfg)
     assert res.best_assignment.ancilla_dim == 4  # cap = dim_q^2
+
+
+def test_minimize_warns_when_best_start_stops_early():
+    # a block run cut at 5 iterations stops above its optimum: the result
+    # stands, with a UserWarning naming the start and the iteration cap
+    e = rand_ensemble(np.random.default_rng(2024), 2, 2)
+    cfg = extopt.OptimizerConfig(multistarts=2, max_iters=5, seed=3, ancilla_dim=2,
+                                 purifier_dim=2, n_block=2)
+    with pytest.warns(UserWarning, match=r"best start \d did not converge in 5 iterations "
+                                         r"\(max_iters 5"):
+        res = extopt.minimize_extension_entropy(e, cfg)
+    assert not any(h.converged for h in res.history)
+
+
+def test_minimize_converged_best_start_is_silent():
+    # the best start is a random one that converges in 25 iterations
+    cfg = extopt.OptimizerConfig(multistarts=2, seed=3, ancilla_dim=2, purifier_dim=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = extopt.minimize_extension_entropy(orthogonal_pair(), cfg)
+    best = min(res.history, key=lambda h: h.final_entropy)
+    assert best.start_index == 1 and best.converged

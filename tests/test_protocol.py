@@ -212,7 +212,7 @@ def test_js_fast_path_matches_dense_route(rng):
         t = protocol._gram_factor(protocol._sequence_gram(ts, grams, seq))
         assert t.shape == (6, 1)
         junk = np.sqrt(1.0 - np.vdot(t, t).real) * np.eye(6)[:, :1]
-        f_fast = protocol._uhlmann(np.hstack([t, junk]), t[:, None, :])
+        f_fast = protocol._uhlmann(np.hstack([t, junk]), t[:, :, None])
         assert abs(f_dense - f_fast) < 1e-7
         f_rows, _ = kernel(seq)  # rank-1 signals: Q = 1 < m, the rows route
         assert abs(f_dense - f_rows) < 1e-7
@@ -477,6 +477,94 @@ def test_kernel_zero_rank_gram():
     assert abs(fids.pop((0, 0)) - 1.0) < 1e-15
     assert fids == {(0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
     assert abs(ep.ext_avg_fidelity - 1.0) < 1e-15
+
+
+def _lapack_calls(monkeypatch) -> list[str]:
+    """The names of the LAPACK routines the kernel calls from now on."""
+    calls, lapack = [], protocol._lapack
+
+    def recorded(name, *args, **kwargs):
+        calls.append(name)
+        return lapack(name, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_lapack", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("m, cols, r, j, rank, tall", [
+    (15, 8, 64, 64, None, True),  # ep-visible's mixed triple: a 512 x 64 stack
+    (6, 3, 4, 8, None, True),  # 24 x 4
+    (6, 3, 6, 2, None, False),  # square 6 x 6
+    (6, 3, 12, 1, None, False),  # wide 3 x 12
+    (6, 3, 8, 16, 2, True),  # 48 x 8 of rank 2
+    (5, 4, 8, 2, 1, False),  # 8 x 8 of rank 1
+    (5, 2, 1, 8, None, True),  # one column, 16 x 1
+    (5, 2, 1, 1, None, False),  # one column, 2 x 1: a rank-1 JS sequence
+])
+def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank, tall):
+    # ||stack_j L^dag X_j||_1 against one SVD of the raw stack; a stack at
+    # least four times taller than wide goes through zgeqrf
+    rng = np.random.default_rng(m * 1000 + r * 10 + j)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    l = cplx(m, cols)
+    x = cplx(m, r, j)
+    if rank is not None:  # every column r mixes the same `rank` columns
+        x = np.einsum("skj,kr->srj", x[:, :rank], cplx(rank, r))
+    stack = np.vstack([l.conj().T @ x[:, :, i] for i in range(j)])
+    want = np.sum(np.linalg.svd(stack, compute_uv=False)) ** 2
+    calls = _lapack_calls(monkeypatch)
+    for work in (None, {}):
+        assert abs(protocol._uhlmann(l, x, work) - want) <= 1e-13 * want
+    assert calls == ["zgeqrf"] * 2 * tall
+
+
+def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
+    # test_kernel_zero_rank_gram's stacks: the pre-trace one has no columns
+    # (T is m x 0), the traced one is a 4 x 1 zero column
+    l = np.ones((1, 1), dtype=np.complex128)
+    calls = _lapack_calls(monkeypatch)
+    assert protocol._uhlmann(l, np.zeros((1, 0, 1))) == 0.0
+    assert protocol._uhlmann(l, np.zeros((1, 1, 4)), {}) == 0.0
+    assert calls == ["zgeqrf"] * 2
+
+
+def test_kernel_workspace_reuse_is_order_free(monkeypatch):
+    # One kernel reuses its traced-route buffers across sequences whose stacks
+    # change size; forward order, reverse order and a fresh kernel per sequence
+    # give the same floats, so no buffer is stale, undersized or returned.
+    rng = np.random.default_rng(5)
+    pair = Ensemble([0.6, 0.4], (rand_pure_density(rng, 2), rand_density(rng, 2)))
+    # (source, k, cap): the orthogonal pair's stacks are 8, 16 or 24 x 8; the
+    # rank-1/rank-2 qubit pair's X and stacks both change size
+    for e, k, cap in ((orthogonal_pair(), 3, 6), (pair, 3, 3)):
+        a = extopt.trivial_assignment(e, 2, 2)
+        e_ext = extopt.extended_ensemble(e, a)
+        ts = protocol.typical_subspace(states.ensemble_density(e_ext), k, dim_cap=cap)
+        seqs = list(itertools.product(range(len(e)), repeat=k))
+
+        def kernel():
+            return protocol._fidelity_kernel(ts, e_ext.states, e.states, a.ancilla_dim)
+
+        stacks, uhlmann = set(), protocol._uhlmann
+
+        def traced_stacks(l, x, work=None):
+            if work is not None:
+                stacks.add((l.shape[1] * x.shape[2], x.shape[1]))
+            return uhlmann(l, x, work)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "_uhlmann", traced_stacks)
+            one = kernel()
+            forward = [one(s) for s in seqs]
+        assert len(stacks) >= 3
+        one = kernel()
+        backward = [one(s) for s in reversed(seqs)][::-1]
+        fresh = [kernel()(s) for s in seqs]
+        assert forward == backward == fresh
+        assert all(type(f) is float for fs in forward for f in fs)
 
 
 def test_kernel_one_dimensional_source():
