@@ -106,6 +106,11 @@ def load_ensemble(path: str) -> states.Ensemble:
     sts = []
     for k, rows in enumerate(payload["states"]):
         try:
+            dim, widths = int(np.prod(dims)), [len(row) for row in rows]
+            if len(set(widths)) > 1:
+                i = next(i for i, w in enumerate(widths) if w != dim)
+                raise EnsembleParseError(
+                    f"{path}: state {k}: row {i} has {widths[i]} entries, expected {dim}")
             m = np.array(
                 [[complex(re, im) for re, im in row] for row in rows],
                 dtype=np.complex128,

@@ -156,7 +156,7 @@ def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
     Requires the eigenvalue mass beyond the register capacity to be
     negligible (this is the rank precondition for building an extension).
     """
-    w, v = linalg.psd_eig(rho.matrix)
+    w, v = rho._psd_eig
     r = min(rho.dim, capacity)
     discarded = float(np.sum(w[r:]))
     if discarded > linalg.ATOL:

@@ -72,7 +72,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValidationError(
             f"dimension mismatch: {rho.dim} vs {sigma.dim}"
         )
-    root = linalg.psd_sqrt(rho.matrix) @ linalg.psd_sqrt(sigma.matrix)
+    root = linalg._sqrt_of(*rho._psd_eig) @ linalg._sqrt_of(*sigma._psd_eig)
     val = float(np.sum(linalg.singular_values(root)) ** 2)
     return min(max(val, 0.0), 1.0)
 
@@ -84,7 +84,7 @@ def canonical_purification(rho: DensityMatrix) -> PureState:
     rank), appended as the last tensor factor.  Tracing it out reproduces the
     input.
     """
-    w, v = linalg.psd_eig(rho.matrix)
+    w, v = rho._psd_eig
     vec = _fix_global_phase((v * np.sqrt(w)).reshape(-1))
     return PureState(vec, rho.factor_dims + (rho.dim,))
 
@@ -107,7 +107,7 @@ def optimal_purification(rho: DensityMatrix, phi_prime: PureState) -> PureState:
         )
     r = phi_prime.dim // d
     a_prime = phi_prime.amplitudes.reshape(d, r)
-    f = linalg.psd_factor(rho.matrix)  # d x rank
+    f = linalg.psd_factor(*rho._psd_eig)  # d x rank
     if r < f.shape[1]:
         raise ValidationError(
             f"purifier dim {r} is smaller than rank {f.shape[1]} of the state"

@@ -150,16 +150,18 @@ def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
 
 def psd_sqrt(p) -> np.ndarray:
     """Hermitian PSD square root under the spectral policy of ``psd_eig``."""
-    w, v = psd_eig(p)
+    return _sqrt_of(*psd_eig(p))
+
+
+def _sqrt_of(w, v) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_factor(p) -> np.ndarray:
-    """Rank-revealing factor F with F F^dag = p.
+def psd_factor(w, v) -> np.ndarray:
+    """Rank-revealing F with F F^dag = p, from the eigenpairs ``psd_eig(p)``.
 
     Its columns are sqrt(w_i) v_i over the eigenvalues ``psd_eig`` keeps.
     """
-    w, v = psd_eig(p)
     keep = w > 0.0
     return v[:, keep] * np.sqrt(w[keep])
 

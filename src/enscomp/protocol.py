@@ -42,6 +42,8 @@ DEFAULT_MC_SAMPLES = 1024
 
 # element budget for the per-sequence arrays of the fidelity kernel
 MATERIALIZE_ELEMENT_BUDGET = 2 ** 24
+# eps keeps the fewest strings of mass >= 1 - eps - EPS_SLACK, a rounding slack of the cumsum
+EPS_SLACK = 1e-15
 
 
 @dataclass(frozen=True)
@@ -120,32 +122,35 @@ def typical_subspace(
         raise ValidationError("block length must be >= 1")
     d = rho.dim
     linalg.check_dim_guard(d ** n)
-    w, vecs = linalg.psd_eig(rho.matrix)
+    w, vecs = rho._psd_eig
     r = int(np.count_nonzero(w))  # w is descending: the zeros come last
     w, vecs = w[:r], vecs[:, :r]
 
     probs = _type_probs(w, n)
-    # C order is lexicographic, so a stable sort breaks exact ties the same way.
-    order = np.argsort(-probs, kind="stable")
-    probs = probs[order]
-    cum = np.cumsum(probs)
+    levels, counts = (a[::-1] for a in np.unique(probs, return_counts=True))
+    cum = np.cumsum(np.repeat(levels, counts))  # the descending floats, in order
 
     if eps is not None:
-        hit = np.flatnonzero(cum >= 1.0 - eps - 1e-15)
+        hit = np.flatnonzero(cum >= 1.0 - eps - EPS_SLACK)
         m = int(hit[0]) + 1 if hit.size else len(probs)
     else:
         m = min(int(dim_cap), len(probs))
 
+    # all levels above the m-th string's, then the first of its level: C order is lexicographic
+    b = int(np.searchsorted(np.cumsum(counts), m))
+    cut = np.flatnonzero(probs == levels[b])[: m - int(np.sum(counts[:b]))]
+    kept = np.concatenate([np.flatnonzero(probs > levels[b]), cut])
+    kept = kept[np.argsort(-probs[kept], kind="stable")]
     return TypicalSubspace(
         block_length=n,
         dim=m,
         retained_mass=float(cum[m - 1]),
-        strings=np.stack(np.unravel_index(order[:m], (r,) * n), axis=1),
-        string_probs=probs[:m],
+        strings=np.stack(np.unravel_index(kept, (r,) * n), axis=1),
+        string_probs=probs[kept],
         source_eigenvalues=w,
         source_eigenvectors=vecs,
         source_dim=d,
-        position_blocks=_position_blocks(probs, order, m, r, n),
+        position_blocks=_position_blocks(cut, int(counts[b]), r, n),
     )
 
 
@@ -181,18 +186,17 @@ def _type_probs(w: np.ndarray, n: int) -> np.ndarray:
     return products[sorted_index]
 
 
-def _position_blocks(probs, order, m: int, r: int, n: int) -> tuple[tuple[int, ...], ...]:
+def _position_blocks(cut, level_size: int, r: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Blocks of positions whose transpositions map the kept strings onto themselves.
 
-    ``probs`` is sorted descending and ``order`` holds the flat string
-    indices.  Whole probability levels are unions of type classes, so only
-    the kept part of a level cut by m can break the symmetry; the pairs that
-    keep it are tested at once on integer codes.  Those pairs are already
-    transitive, since (a c) = (a b)(b c)(a b).
+    ``cut`` holds the flat indices of the kept strings of the lowest kept
+    probability level, which has ``level_size`` strings.  Whole levels are
+    unions of type classes, so only a level cut short can break the
+    symmetry; the pairs that keep it are tested at once on integer codes.
+    Those pairs are already transitive, since (a c) = (a b)(b c)(a b).
     """
-    if m == len(probs) or probs[m - 1] != probs[m]:
+    if len(cut) == level_size:
         return (tuple(range(n)),)
-    cut = order[:m][probs[:m] == probs[m - 1]]
     digits = np.stack(np.unravel_index(cut, (r,) * n), axis=1)
     place = r ** np.arange(n - 1, -1, -1)
     a, b = np.triu_indices(n, 1)
@@ -215,7 +219,7 @@ def _sequence_gram(ts: TypicalSubspace, grams, seq) -> np.ndarray:
     s = ts.strings
     gm = np.ones((ts.dim, ts.dim), dtype=np.complex128)
     for t, c in enumerate(seq):
-        gm *= grams[c][np.ix_(s[:, t], s[:, t])]
+        gm *= grams[c].take(s[:, t], 0).take(s[:, t], 1)
     return gm
 
 
@@ -257,7 +261,7 @@ def _amplitude_factors(ts: TypicalSubspace, states, anc_dim: int = 1) -> list[np
     """
     v = ts.source_eigenvectors.conj()
     v = v.reshape(-1, anc_dim, v.shape[1])
-    return [np.einsum("xjs,xr->srj", v, linalg.psd_factor(st.matrix)) for st in states]
+    return [np.einsum("xjs,xr->srj", v, linalg.psd_factor(*st._psd_eig)) for st in states]
 
 
 def _sequence_rows(ts: TypicalSubspace, factors, seq, work: dict | None = None) -> np.ndarray:

@@ -28,6 +28,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
     factor_dims: tuple[int, ...]
+    # linalg.psd_eig(matrix), read-only: the one eigendecomposition of a state
+    _psd_eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = linalg._as_complex(self.matrix)
@@ -47,7 +49,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix trace {tr} is not 1 within {linalg.ATOL:g}"
             )
-        linalg.psd_eig(m)  # rejects non-Hermitian and non-PSD matrices
+        w, v = linalg.psd_eig(m)  # rejects non-Hermitian and non-PSD matrices
+        w.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "_psd_eig", (w, v))
 
     @property
     def dim(self) -> int:

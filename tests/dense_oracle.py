@@ -3,17 +3,20 @@
 They materialize the typical basis V as a (source_dim**n) x m matrix and
 the compressed state V Y V^dag, so they serve only small cases.  The
 library's fidelity kernel never builds these operators.  ``typical_strings``
-is the loop-and-sort reference for the string order of ``typical_subspace``.
+is the loop-and-sort reference for the string order of ``typical_subspace``,
+``position_blocks`` the brute-force reference for its symmetry blocks, and
+``sequence_gram`` the ``np.ix_`` reference for the kernel's Gram gather.
 ``expm_frechet_gradient`` is the minimizer's objective and gradient by
 scipy's Pade ``expm`` and ``expm_frechet``, one state at a time.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.linalg
 
-from enscomp import extopt, linalg
+from enscomp import extopt, linalg, protocol
 from enscomp.fidelity import PureState
 from enscomp.states import DensityMatrix
 
@@ -26,19 +29,53 @@ def typical_strings(w, n: int, *, eps=None, dim_cap=None):
     ties break lexicographically.  A string's probability comes from its type
     alone: its eigenvalues multiplied in ascending order.
     """
-    w = [float(x) for x in w]
-    strings = np.array(list(itertools.product(range(len(w)), repeat=n)), dtype=np.intp)
-    probs = np.array([_type_prob(w, s) for s in strings])
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], tuple(strings[i])))
-    strings = strings[order]
-    probs = probs[order]
+    strings, probs = _sorted_strings(tuple(float(x) for x in w), n)
     cum = np.cumsum(probs)
     if eps is not None:
-        hit = np.flatnonzero(cum >= 1.0 - eps - 1e-15)
+        hit = np.flatnonzero(cum >= 1.0 - eps - protocol.EPS_SLACK)
         m = int(hit[0]) + 1 if hit.size else len(probs)
     else:
         m = min(int(dim_cap), len(probs))
     return strings[:m], probs[:m], m, float(cum[m - 1])
+
+
+@functools.lru_cache(maxsize=8)
+def _sorted_strings(w: tuple, n: int):
+    """All r^n strings and their probabilities, sorted by (-probability, string)."""
+    strings = [tuple(s) for s in itertools.product(range(len(w)), repeat=n)]
+    probs = [_type_prob(w, s) for s in strings]
+    order = sorted(range(len(probs)), key=lambda i: (-probs[i], strings[i]))
+    out = np.array([strings[i] for i in order], dtype=np.intp), np.array([probs[i] for i in order])
+    for a in out:
+        a.flags.writeable = False  # every caller shares the cached arrays
+    return out
+
+
+def position_blocks(strings, n: int) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the position pairs whose swap maps ``strings`` onto itself.
+
+    Each swap is applied to every string as a tuple (a pair already joined
+    is not tested again); components are listed by their smallest position,
+    each sorted.
+    """
+    kept = {tuple(s) for s in np.asarray(strings).tolist()}
+    block = list(range(n))  # block[t]: the smallest position joined to t so far
+    for a, b in itertools.combinations(range(n), 2):
+        if block[a] != block[b] and all(
+            s[:a] + (s[b],) + s[a + 1:b] + (s[a],) + s[b + 1:] in kept for s in kept
+        ):
+            old, new = max(block[a], block[b]), min(block[a], block[b])
+            block = [new if x == old else x for x in block]
+    return tuple(tuple(t for t in range(n) if block[t] == root) for root in sorted(set(block)))
+
+
+def sequence_gram(ts, grams, seq) -> np.ndarray:
+    """V^dag sigma V as the product of the per-position Grams gathered by ``np.ix_``."""
+    s = ts.strings
+    gm = np.ones((ts.dim, ts.dim), dtype=np.complex128)
+    for t, c in enumerate(seq):
+        gm *= grams[c][np.ix_(s[:, t], s[:, t])]
+    return gm
 
 
 def _type_prob(w, string) -> float:
@@ -92,7 +129,7 @@ def pretrace_fidelity(ts, states, seq) -> float:
     product of the states' eigen-factors, Y = L L^dag for L = [u, sqrt(delta)
     e_0], and F = ||L^dag u||_1^2.  No matrix square root enters.
     """
-    a = linalg.kron_all([linalg.psd_factor(states[c].matrix) for c in seq])
+    a = linalg.kron_all([linalg.psd_factor(*linalg.psd_eig(states[c].matrix)) for c in seq])
     u = basis(ts).conj().T @ a
     junk = np.zeros((ts.dim, 1), dtype=np.complex128)
     junk[0, 0] = np.sqrt(max(1.0 - float(np.vdot(u, u).real), 0.0))

@@ -222,6 +222,17 @@ def test_high_fidelity_run_emits_satisfied_holevo_report(tmp_path, capsys):
     assert doc["bounds"][0]["satisfied"] is True
 
 
+def test_load_ensemble_names_ragged_row(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    ragged = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+    path.write_text(json.dumps({"probs": [1.0], "factor_dims": [2], "states": [ragged]}))
+    with pytest.raises(EnsembleParseError, match="state 0: row 1 has 1 entries, expected 2"):
+        cli.load_ensemble(str(path))
+    assert cli.main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "row 1 has 1 entries" in err and "inhomogeneous" not in err
+
+
 GOOD_STATES = [
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
     [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],

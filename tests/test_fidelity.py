@@ -164,7 +164,7 @@ def _purification_cases(rng, d):
     yield rho, canonical_purification(rho)
     # both rank k, purifier dimension k, sigma's factor rotated on the purifier
     sig, _ = rand_rank_density(rng, d, k)
-    amps = linalg.psd_factor(sig.matrix) @ rand_unitary(rng, k)
+    amps = linalg.psd_factor(*linalg.psd_eig(sig.matrix)) @ rand_unitary(rng, k)
     yield rho, PureState(amps.reshape(-1), (d, k))
 
 

@@ -13,7 +13,7 @@ from enscomp.fidelity import fidelity
 from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
-from conftest import rand_density, rand_pure_density
+from conftest import rand_density, rand_pure_density, rand_unitary
 
 
 def zero_plus_pair():
@@ -104,6 +104,7 @@ def test_typical_subspace_argument_validation(rng):
 
 
 def test_typical_subspace_matches_sorted_oracle(rng):
+    u2, u3, u4 = rand_unitary(rng, 2), rand_unitary(rng, 3), rand_unitary(rng, 4)
     spectra = {
         "flat qubit": np.eye(2) / 2,
         "flat qutrit": np.eye(3) / 3,
@@ -112,24 +113,33 @@ def test_typical_subspace_matches_sorted_oracle(rng):
         "rank-deficient": np.diag([0.5, 0.5, 0.0, 0.0]),
         "d=1": np.eye(1),
         "random": rand_density(rng, 3).matrix,
+        "rotated diag(.5,.25,.25)": u3 @ np.diag([0.5, 0.25, 0.25]) @ u3.conj().T,
+        "rotated rank-deficient": u4 @ np.diag([0.4, 0.3, 0.3, 0.0]) @ u4.conj().T,
     }
     targets = [{"eps": e} for e in (0.0, 0.05, 0.3)]
     targets += [{"dim_cap": c} for c in (1, 3, 4, 5, 10 ** 6)]
+    # n up to 8, within the 2^14 guard on d^n, and to 4 for d = 5 (625 strings)
+    n_max = {1: 8, 2: 8, 3: 8, 4: 7, 5: 4}
+    cases = [(name, m, n, targets) for name, m in spectra.items()
+             for n in range(1, n_max[m.shape[0]] + 1)]
+    # the js-typical-biased shape: n = 14 with its type-aligned cap, and one inside a level
+    biased = u2 @ np.diag([0.9, 0.1]) @ u2.conj().T
+    cases.append(("biased qubit", biased, 14, [{"dim_cap": 1 + 14 + 91}, {"dim_cap": 60}]))
     tie_cuts = 0
-    for name, m in spectra.items():
-        rho = DensityMatrix(m, (m.shape[0],))
+    for name, m, n, tgts in cases:
+        rho = DensityMatrix((m + m.conj().T) / 2, (m.shape[0],))
         w = protocol.typical_subspace(rho, 1, dim_cap=1).source_eigenvalues
-        for n in (1, 2, 3, 4):
-            all_probs = dense_oracle.typical_strings(w, n, dim_cap=10 ** 6)[1]
-            for target in targets:
-                ts = protocol.typical_subspace(rho, n, **target)
-                strings, probs, dim, mass = dense_oracle.typical_strings(w, n, **target)
-                case = (name, n, target)
-                assert np.array_equal(ts.strings, strings), case
-                assert np.array_equal(ts.string_probs, probs), case
-                assert ts.dim == dim, case
-                assert ts.retained_mass == mass, case
-                tie_cuts += dim < len(all_probs) and all_probs[dim] == all_probs[dim - 1]
+        all_probs = dense_oracle.typical_strings(w, n, dim_cap=10 ** 6)[1]
+        for target in tgts:
+            ts = protocol.typical_subspace(rho, n, **target)
+            strings, probs, dim, mass = dense_oracle.typical_strings(w, n, **target)
+            case = (name, n, target)
+            assert np.array_equal(ts.strings, strings), case
+            assert np.array_equal(ts.string_probs, probs), case
+            assert ts.dim == dim, case
+            assert ts.retained_mass == mass, case
+            assert ts.position_blocks == dense_oracle.position_blocks(strings, n), case
+            tie_cuts += dim < len(all_probs) and all_probs[dim] == all_probs[dim - 1]
     # the tie rule is exercised: some caps end inside a class of equal strings
     assert tie_cuts > 0
 
@@ -159,7 +169,7 @@ def test_typical_subspace_properties(ws, n, target):
     if "dim_cap" in target:
         assert ts.dim == min(target["dim_cap"], total)
     else:
-        goal = 1.0 - target["eps"] - 1e-15
+        goal = 1.0 - target["eps"] - protocol.EPS_SLACK
         # minimal: one string fewer misses the mass target
         assert ts.dim == 1 or cum[-2] < goal
         assert ts.dim == total or cum[-1] >= goal
@@ -651,6 +661,26 @@ def _minimized_triple():
     triple = _mixed_triple(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
     cfg = extopt.OptimizerConfig(multistarts=2, seed=101, ancilla_dim=2, purifier_dim=2)
     return triple, extopt.minimize_extension_entropy(triple, cfg).best_assignment
+
+
+def test_sequence_gram_matches_ix_gather():
+    # contiguous takes multiply the same elements in the same order as np.ix_
+    triple, assignment = _minimized_triple()
+    e_ext = extopt.extended_ensemble(triple, assignment)
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 6, eps=0.05)
+    assert ts.dim == 15
+    grams = protocol._subspace_grams(ts, e_ext.states)
+    for seq in itertools.product(range(3), repeat=6):
+        want = dense_oracle.sequence_gram(ts, grams, seq)
+        assert np.array_equal(protocol._sequence_gram(ts, grams, seq), want), seq
+    # the js-typical-biased shape, n = 14 and m = C(14,0) + C(14,1) + C(14,2), two signals
+    rng = np.random.default_rng(14)
+    e = Ensemble([0.6, 0.4], (rand_density(rng, 2), rand_density(rng, 2)))
+    ts = protocol.typical_subspace(states.ensemble_density(e), 14, dim_cap=1 + 14 + 91)
+    grams = protocol._subspace_grams(ts, e.states)
+    for seq in [(0,) * 14, (1,) * 14] + [tuple(rng.integers(0, 2, size=14)) for _ in range(8)]:
+        want = dense_oracle.sequence_gram(ts, grams, seq)
+        assert np.array_equal(protocol._sequence_gram(ts, grams, seq), want), seq
 
 
 def _counted_run(monkeypatch, run, per_sequence=False):

@@ -1,11 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from enscomp import linalg, states
+from enscomp import extopt, linalg, protocol, states
 from enscomp.errors import DimensionGuardError, ValidationError
+from enscomp.fidelity import (
+    _fix_global_phase,
+    canonical_purification,
+    fidelity,
+    optimal_purification,
+)
 from enscomp.states import DensityMatrix, Ensemble
 
-from conftest import rand_density, rand_ensemble, rand_pure_density
+from conftest import rand_density, rand_ensemble, rand_pure_density, rand_rank_density
 
 
 def test_density_matrix_validation():
@@ -17,6 +25,52 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]), (2,))  # negative eigenvalue
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4) / 4, (2, 3))  # dims do not multiply
+
+
+def test_density_matrix_keeps_its_spectrum(rng):
+    rho, _ = rand_rank_density(rng, 4, 2)
+    w, v = rho._psd_eig
+    want_w, want_v = linalg.psd_eig(rho.matrix)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert not w.flags.writeable and not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+    # repr and == read the matrix and the factor dims only
+    assert "_psd_eig" not in repr(rho)
+    same = dataclasses.replace(rho)
+    assert same == rho and same._psd_eig[1] is not v
+    # replace builds through __post_init__, so the spectrum follows the new matrix
+    other = rand_density(rng, 4).matrix
+    moved = dataclasses.replace(rho, matrix=other)
+    for got, want in zip(moved._psd_eig, linalg.psd_eig(other)):
+        assert np.array_equal(got, want)
+
+
+def test_spectrum_readers_match_uncached_route(rng):
+    # each reader against its formula on a spectrum computed afresh from the matrix
+    pairs = [(rand_density(rng, 4), rand_rank_density(rng, 4, 2)[0]),
+             (rand_rank_density(rng, 4, 3)[0], rand_pure_density(rng, 4))]
+    for a, b in pairs:
+        root = linalg.psd_sqrt(a.matrix) @ linalg.psd_sqrt(b.matrix)
+        want = min(max(float(np.sum(linalg.singular_values(root)) ** 2), 0.0), 1.0)
+        assert fidelity(a, b) == want
+        w, v = linalg.psd_eig(b.matrix)
+        target = canonical_purification(b)
+        assert np.array_equal(target.amplitudes, _fix_global_phase((v * np.sqrt(w)).reshape(-1)))
+        f = linalg.psd_factor(*linalg.psd_eig(a.matrix))
+        x, _, yh = np.linalg.svd(f.conj().T @ target.amplitudes.reshape(4, 4), full_matrices=False)
+        want = _fix_global_phase((f @ x @ yh).reshape(-1))
+        assert np.array_equal(optimal_purification(a, target).amplitudes, want)
+        w, v = linalg.psd_eig(a.matrix)
+        assert np.array_equal(extopt._purification_register(a, 4), v * np.sqrt(w))
+        ts = protocol.typical_subspace(states.ensemble_density(Ensemble([0.5, 0.5], (a, b))),
+                                       2, eps=0.1)
+        halves = [rand_density(rng, 2), rand_rank_density(rng, 2, 1)[0]]
+        for sts, anc in (((a, b), 1), (halves, 2)):
+            v = ts.source_eigenvectors.conj().reshape(-1, anc, ts.source_eigenvectors.shape[1])
+            for got, st in zip(protocol._amplitude_factors(ts, sts, anc), sts):
+                f = linalg.psd_factor(*linalg.psd_eig(st.matrix))
+                assert np.array_equal(got, np.einsum("xjs,xr->srj", v, f))
 
 
 def test_ensemble_validation():
