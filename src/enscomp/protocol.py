@@ -18,10 +18,14 @@ V^dag A when the input rank product Q is below m, else the pivoted Cholesky
 factor of the Gram product.  Y = L L^dag for L = [T, sqrt(delta) e_0], delta
 = 1 - ||T||_F^2 the junk mass, and the pre-trace F is ||L^dag T||_1^2.
 
-The trace norm of a stack at least four times taller than wide is the sum
-of the singular values of its Householder QR triangle (the R-SVD).  The
-traced route writes X and the stack into buffers that one kernel reuses for
-all its sequences, so no sequence allocates and frees megabyte arrays.
+The traced stack never builds X.  The kept strings that share a suffix
+s[t:] form a group, and the stack starts from conj(L), one row per string,
+absorbing one position at a time: each group's rows are summed, weighted by
+the position's factor, into the row of the group one position up.  A kernel
+stores these maps as block matrices once and reuses grow-only buffers,
+so an orbit costs a few GEMMs and one reorder.  The trace norm of a stack
+at least four times taller than wide is the sum of the singular values of
+its Householder QR triangle (the R-SVD).
 """
 
 import itertools
@@ -42,6 +46,8 @@ DEFAULT_MC_SAMPLES = 1024
 
 # element budget for the per-sequence arrays of the fidelity kernel
 MATERIALIZE_ELEMENT_BUDGET = 2 ** 24
+# parents x children of one diagonal block of a traced-route suffix level
+SUFFIX_BLOCK_AREA = 256
 # eps keeps the fewest strings of mass >= 1 - eps - EPS_SLACK, a rounding slack of the cumsum
 EPS_SLACK = 1e-15
 
@@ -264,39 +270,113 @@ def _amplitude_factors(ts: TypicalSubspace, states, anc_dim: int = 1) -> list[np
     return [np.einsum("xjs,xr->srj", v, linalg.psd_factor(*st._psd_eig)) for st in states]
 
 
-def _sequence_rows(ts: TypicalSubspace, factors, seq, work: dict | None = None) -> np.ndarray:
+def _sequence_rows(ts: TypicalSubspace, factors, seq) -> np.ndarray:
     """X[s, r, j] = prod_t E_{c_t}[s_t, r_t, j_t], an m x R x J array.
 
     The combined indices r and j put the last position slowest, which keeps
-    the broadcast's inner axis long; _uhlmann needs r before j.  The
-    C-ordered product makes the reshape a view instead of a copy.  With a
-    workspace the stages alternate between two of its buffers.
+    the broadcast's inner axis long.  The C-ordered product makes the reshape
+    a view instead of a copy.
     """
     s = ts.strings
     x = np.ones((ts.dim, 1, 1), dtype=np.complex128)
     for t, c in enumerate(seq):
         f = factors[c][s[:, t]]
-        out = None if work is None else _buffer(
-            work, t % 2, (ts.dim, f.shape[1], x.shape[1], f.shape[2], x.shape[2]))
-        x = np.multiply(f[:, :, None, :, None], x[:, None, :, None, :], order="C", out=out)
+        x = np.multiply(f[:, :, None, :, None], x[:, None, :, None, :], order="C")
         x = x.reshape(ts.dim, x.shape[1] * x.shape[2], x.shape[3] * x.shape[4])
     return x
 
 
-def _uhlmann(l: np.ndarray, x: np.ndarray, work: dict | None = None) -> float:
-    """F = ||stack_j L^dag X_j||_1^2, for Y = L L^dag and X as m x R x J.
+def _suffix_tree(ts: TypicalSubspace, factors):
+    """The kept strings' suffix order and the diagonal blocks that absorb each position.
 
-    The GEMM forms the transpose X^T conj(L), so the stack (rows (j, l),
-    columns r; row order does not change singular values) is F-contiguous.
-    A stack at least four times taller than wide goes to its QR triangle in
-    place first: backward stable like the SVD, and about two thirds of its
-    cost at 512 x 64 (the R-SVD; Chan, ACM TOMS 8, 72 (1982)).
+    Sorted by their reversed digits (``order``), the strings sharing a suffix
+    s[t:] are adjacent: they form one group of position t, and the groups of
+    t inside one group of t + 1 (its children) are adjacent too.  Absorbing
+    position t for signal c maps each group onto its parent with E_c[s_t, r,
+    j], s_t the group's digit: a block-diagonal matrix of rows (parent, r, j)
+    and columns group.  Level t lists its diagonal blocks as (p0, p1, g0, g1,
+    [block per signal]), cut between parents before a block's parents x
+    children pass SUFFIX_BLOCK_AREA, so few of the zeros are multiplied.
+    ``dims`` holds each signal's (rank, ancilla dimension).
     """
-    m, r, j = x.shape
-    out = None if work is None else _buffer(work, "stack", (r * j, l.shape[1]))
-    b = np.matmul(x.reshape(m, r * j).T, l.conj(), out=out).reshape(r, j * l.shape[1]).T
-    if b.shape[0] >= 4 * r:
-        b = np.triu(_lapack("zgeqrf", b, overwrite_a=1)[0][:r])
+    s = ts.strings
+    m, n = s.shape
+    order = np.lexsort(s.T)
+    s = s[order]
+    # new[i, t]: sorted string i + 1 starts a new group of position t
+    new = np.logical_or.accumulate((np.diff(s, axis=0) != 0)[:, ::-1], axis=1)[:, ::-1]
+    group = np.zeros((m, n + 1), dtype=np.intp)  # position n: the one empty suffix
+    group[1:, :n] = np.cumsum(new, axis=0)
+    dims = [f.shape[1:] for f in factors]
+    levels, elements = [], 0
+    for t in range(n):
+        parent = np.empty(group[-1, t] + 1, dtype=np.intp)
+        digit = np.empty_like(parent)
+        parent[group[:, t]], digit[group[:, t]] = group[:, t + 1], s[:, t]
+        # the children of parent p are groups first[p] to first[p + 1] - 1
+        first = np.searchsorted(parent, np.arange(parent[-1] + 2)).tolist()
+        cuts, p0 = [], 0
+        for p in range(1, len(first)):
+            if p == len(first) - 1 or (p + 1 - p0) * (first[p + 1] - first[p0]) > SUFFIX_BLOCK_AREA:
+                cuts.append((p0, p, first[p0], first[p]))
+                p0 = p
+        elements += sum((p1 - p0) * (g1 - g0) for p0, p1, g0, g1 in cuts) * sum(map(prod, dims))
+        _check_budget(elements, "traced-route block matrices")
+        levels.append([])
+        for p0, p1, g0, g1 in cuts:
+            blocks = [np.zeros((p1 - p0,) + d + (g1 - g0,), dtype=np.complex128) for d in dims]
+            for b, f in zip(blocks, factors):
+                b[parent[g0:g1] - p0, :, :, np.arange(g1 - g0)] = f[digit[g0:g1]]
+            levels[-1].append((p0, p1, g0, g1, [b.reshape(-1, g1 - g0) for b in blocks]))
+    return order, levels, dims
+
+
+def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
+    """stack_j L^dag X_j (rows (j, l), columns r), from conj(L) along the suffix tree.
+
+    W starts as the rows of conj(L) in suffix order.  Absorbing position t
+    sums E_{c_t}[s_t, r_t, j_t] W[g] over the children g of each group, one
+    GEMM per diagonal block, into one of two buffers of ``work``; (r_t, j_t)
+    go before the columns.  The root's columns are (r_{k-1}, j_{k-1}, ...,
+    r_0, j_0, l), and one reorder writes them to a C-ordered R x (J l)
+    buffer whose transpose, the stack, is in Fortran order.
+    """
+    order, levels, dims = tree
+    cols, sizes = lc.shape[1], []
+    for t, c in enumerate(seq):
+        cols *= prod(dims[c])
+        sizes.append(levels[t][-1][1] * cols)
+    _check_budget(sum(sizes) + cols, "traced-route array")
+    w = lc[order]
+    for t, c in enumerate(seq):
+        rj, parents = prod(dims[c]), levels[t][-1][1]
+        out = _buffer(work, t % 2, (parents * rj, w.shape[1]))
+        for p0, p1, g0, g1, blocks in levels[t]:
+            np.matmul(blocks[c], w[g0:g1], out=out[p0 * rj:p1 * rj])
+        w = out.reshape(parents, -1)
+    k = len(seq)
+    shape = [d for c in reversed(seq) for d in dims[c]] + [lc.shape[1]]
+    # r axes first; unit axes move nothing, and leaving them out keeps the
+    # rank within numpy's limit
+    axes = [a for a in (*range(0, 2 * k, 2), *range(1, 2 * k, 2), 2 * k) if shape[a] > 1]
+    kept = sorted(axes)
+    rows = prod(shape[0:2 * k:2])
+    stack = _buffer(work, "stack", (rows, cols // rows))
+    np.copyto(stack.reshape([shape[a] for a in axes]),
+              w.reshape([shape[a] for a in kept]).transpose([kept.index(a) for a in axes]))
+    return stack.T
+
+
+def _uhlmann(b: np.ndarray) -> float:
+    """F = ||b||_1^2 for the Uhlmann stack b.
+
+    A stack at least four times taller than wide goes to its QR triangle
+    first, in place when it is in Fortran order: backward stable like the
+    SVD, and about two thirds of its cost at 512 x 64 (the R-SVD; Chan, ACM
+    TOMS 8, 72 (1982)).
+    """
+    if b.shape[0] >= 4 * b.shape[1]:
+        b = np.triu(_lapack("zgeqrf", b, overwrite_a=1)[0][: b.shape[1]])
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
@@ -316,14 +396,16 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
     m = ts.dim
     grams = _subspace_grams(ts, states)
     inputs = _amplitude_factors(ts, states)
-    outputs = None if targets is None else _amplitude_factors(ts, targets, anc_dim)
+    tree = None if targets is None else _suffix_tree(ts, _amplitude_factors(ts, targets, anc_dim))
     work = {}  # the traced route's buffers, grown to the largest sequence's needs
 
     def fidelities(seq) -> tuple[float, float | None]:
         q = prod(inputs[c].shape[1] for c in seq)
-        _check_budget(m * q if q < m else m * m)
-        if outputs is not None:
-            _check_budget(m * anc_dim ** len(seq) * prod(outputs[c].shape[1] for c in seq))
+        # the Cholesky route holds up to five m x m arrays at once: the Gram,
+        # zpstrf's copy, np.tril's copy and T while factoring, then T, L,
+        # conj(L), the pre-trace stack and svd's copy of it
+        _check_budget(m * q if q < m else 5 * m * m,
+                      "per-sequence array" if q < m else "Cholesky-route working set")
         if q < m:
             t = _sequence_rows(ts, inputs, seq)[:, :, 0]
         else:
@@ -331,10 +413,12 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         l = np.zeros((m, t.shape[1] + 1), dtype=np.complex128)
         l[:, :-1] = t
         l[0, -1] = np.sqrt(max(1.0 - float(np.vdot(t, t).real), 0.0))
-        fid = _uhlmann(l, t[:, :, None])
-        if outputs is None:
+        lc = l.conj()
+        # the transposed GEMM leaves the stack L^dag T in Fortran order
+        fid = _uhlmann((t.T @ lc).T)
+        if tree is None:
             return fid, None
-        traced = min(_uhlmann(l, _sequence_rows(ts, outputs, seq, work), work), 1.0)
+        traced = min(_uhlmann(_traced_stack(tree, lc, seq, work)), 1.0)
         if traced < fid - linalg.ATOL:
             raise BoundViolationError(
                 f"partial trace reduced fidelity: {traced} < {fid}"

@@ -4,8 +4,9 @@ They materialize the typical basis V as a (source_dim**n) x m matrix and
 the compressed state V Y V^dag, so they serve only small cases.  The
 library's fidelity kernel never builds these operators.  ``typical_strings``
 is the loop-and-sort reference for the string order of ``typical_subspace``,
-``position_blocks`` the brute-force reference for its symmetry blocks, and
-``sequence_gram`` the ``np.ix_`` reference for the kernel's Gram gather.
+``position_blocks`` the brute-force reference for its symmetry blocks,
+``sequence_gram`` the ``np.ix_`` reference for the kernel's Gram gather, and
+``traced_stack`` the rows-array reference for the kernel's traced stack.
 ``expm_frechet_gradient`` is the minimizer's objective and gradient by
 scipy's Pade ``expm`` and ``expm_frechet``, one state at a time.
 """
@@ -76,6 +77,23 @@ def sequence_gram(ts, grams, seq) -> np.ndarray:
     for t, c in enumerate(seq):
         gm *= grams[c][np.ix_(s[:, t], s[:, t])]
     return gm
+
+
+def traced_stack(ts, factors, l, seq) -> np.ndarray:
+    """stack_j L^dag X_j (rows (j, l), columns r) through the full m x R x J rows array.
+
+    X[s, r, j] = prod_t E_{c_t}[s_t, r_t, j_t] is built one position at a
+    time, the last position slowest in r and j, and one GEMM over the m
+    strings contracts it with conj(L).
+    """
+    s = ts.strings
+    x = np.ones((ts.dim, 1, 1), dtype=np.complex128)
+    for t, c in enumerate(seq):
+        f = factors[c][s[:, t]]
+        x = (f[:, :, None, :, None] * x[:, None, :, None, :]).reshape(
+            ts.dim, f.shape[1] * x.shape[1], f.shape[2] * x.shape[2])
+    m, r, j = x.shape
+    return (x.reshape(m, r * j).T @ l.conj()).reshape(r, j * l.shape[1]).T
 
 
 def _type_prob(w, string) -> float:

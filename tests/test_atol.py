@@ -72,7 +72,7 @@ def partial_trace_alarm(delta, tmp_path):
     # the kernel computes the pre-trace F first, then the traced F
     uhlmann = itertools.cycle([0.5, 0.5 - delta])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_uhlmann", lambda l, x, work=None: next(uhlmann))
+        mp.setattr(protocol, "_uhlmann", lambda b: next(uhlmann))
         e = reference.orthogonal_pair()
         a = extopt.trivial_assignment(e, 1)
         protocol.extension_protocol(e, 1, a, 1, dim_cap=2, sampling="exact")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from enscomp import extopt, linalg, protocol, states
 from enscomp.errors import DimensionGuardError, ValidationError
@@ -222,7 +222,7 @@ def test_js_fast_path_matches_dense_route(rng):
         t = protocol._gram_factor(protocol._sequence_gram(ts, grams, seq))
         assert t.shape == (6, 1)
         junk = np.sqrt(1.0 - np.vdot(t, t).real) * np.eye(6)[:, :1]
-        f_fast = protocol._uhlmann(np.hstack([t, junk]), t[:, :, None])
+        f_fast = protocol._uhlmann(np.hstack([t, junk]).conj().T @ t)
         assert abs(f_dense - f_fast) < 1e-7
         f_rows, _ = kernel(seq)  # rank-1 signals: Q = 1 < m, the rows route
         assert abs(f_dense - f_rows) < 1e-7
@@ -306,6 +306,25 @@ def test_mc_draw_budget_guard_allocates_nothing():
     try:
         with pytest.raises(DimensionGuardError):
             protocol._mc_draws(np.array([0.5, 0.5]), n, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_cholesky_working_set_guard_allocates_nothing():
+    # m^2 fits the budget, but the Cholesky route holds about five m x m
+    # arrays at once (Gram, zpstrf's copy, T, L and the pre-trace stack), so
+    # the guard fires before the Gram is built
+    rng = np.random.default_rng(11)
+    e = Ensemble([0.5, 0.5], (rand_density(rng, 2), rand_density(rng, 2)))
+    ts = protocol.typical_subspace(states.ensemble_density(e), 11, dim_cap=1900)
+    assert ts.dim ** 2 <= protocol.MATERIALIZE_ELEMENT_BUDGET
+    kernel = protocol._fidelity_kernel(ts, e.states)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
+            kernel((0, 1) * 5 + (0,))  # Q = 2^11 >= m
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,10 +470,15 @@ def test_fidelity_kernel_element_budget(monkeypatch):
         protocol.js_protocol(e, 4, dim_cap=16, sampling="exact")  # rows: 16 x 1
     mixed = orthogonal_pair()
     with pytest.raises(DimensionGuardError):
-        protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Gram: 4 x 4
+        protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Cholesky: 5 x 4 x 4
     triv = extopt.trivial_assignment(mixed, 2, 2)
-    # Gram 3 x 3 fits; the traced rows m x J x R = 3 x 4 x 4 do not
-    with pytest.raises(DimensionGuardError):
+    # the Cholesky set 5 x 3 x 3 and the traced route's block matrices (96
+    # elements) fit; its level outputs and stack (44 per column of L) do not
+    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 100)
+    with pytest.raises(DimensionGuardError, match="traced-route array"):
+        protocol.extension_protocol(mixed, 1, triv, 2, dim_cap=3, sampling="exact")
+    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 95)
+    with pytest.raises(DimensionGuardError, match="block matrices"):
         protocol.extension_protocol(mixed, 1, triv, 2, dim_cap=3, sampling="exact")
 
 
@@ -526,18 +550,18 @@ def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank,
     stack = np.vstack([l.conj().T @ x[:, :, i] for i in range(j)])
     want = np.sum(np.linalg.svd(stack, compute_uv=False)) ** 2
     calls = _lapack_calls(monkeypatch)
-    for work in (None, {}):
-        assert abs(protocol._uhlmann(l, x, work) - want) <= 1e-13 * want
+    # C order (zgeqrf copies it) and Fortran order (zgeqrf overwrites it)
+    for b in (stack.copy(), np.asfortranarray(stack)):
+        assert abs(protocol._uhlmann(b) - want) <= 1e-13 * want
     assert calls == ["zgeqrf"] * 2 * tall
 
 
 def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
     # test_kernel_zero_rank_gram's stacks: the pre-trace one has no columns
     # (T is m x 0), the traced one is a 4 x 1 zero column
-    l = np.ones((1, 1), dtype=np.complex128)
     calls = _lapack_calls(monkeypatch)
-    assert protocol._uhlmann(l, np.zeros((1, 0, 1))) == 0.0
-    assert protocol._uhlmann(l, np.zeros((1, 1, 4)), {}) == 0.0
+    assert protocol._uhlmann(np.zeros((1, 0), dtype=np.complex128)) == 0.0
+    assert protocol._uhlmann(np.zeros((4, 1), dtype=np.complex128, order="F")) == 0.0
     assert calls == ["zgeqrf"] * 2
 
 
@@ -558,12 +582,12 @@ def test_kernel_workspace_reuse_is_order_free(monkeypatch):
         def kernel():
             return protocol._fidelity_kernel(ts, e_ext.states, e.states, a.ancilla_dim)
 
-        stacks, uhlmann = set(), protocol._uhlmann
+        stacks, uhlmann, calls = set(), protocol._uhlmann, itertools.count()
 
-        def traced_stacks(l, x, work=None):
-            if work is not None:
-                stacks.add((l.shape[1] * x.shape[2], x.shape[1]))
-            return uhlmann(l, x, work)
+        def traced_stacks(b):
+            if next(calls) % 2:  # the kernel computes the pre-trace F first, then the traced F
+                stacks.add(b.shape)
+            return uhlmann(b)
 
         with monkeypatch.context() as mp:
             mp.setattr(protocol, "_uhlmann", traced_stacks)
@@ -575,6 +599,100 @@ def test_kernel_workspace_reuse_is_order_free(monkeypatch):
         fresh = [kernel()(s) for s in seqs]
         assert forward == backward == fresh
         assert all(type(f) is float for fs in forward for f in fs)
+
+
+def _check_traced_stack(ts, targets, anc_dim, seqs, cols, rng, l=None):
+    """The suffix-tree stack against the rows-array oracle, for each sequence; returns the tree."""
+    factors = protocol._amplitude_factors(ts, targets, anc_dim)
+    tree = protocol._suffix_tree(ts, factors)
+    # every level has one group per distinct suffix: equal suffixes merge
+    suffixes = [{tuple(x[t:]) for x in ts.strings.tolist()} for t in range(1, ts.block_length + 1)]
+    assert [level[-1][1] for level in tree[1]] == [len(x) for x in suffixes]
+    work = {}
+    for seq in seqs:
+        lm = l if l is not None else (
+            rng.normal(size=(ts.dim, cols)) + 1j * rng.normal(size=(ts.dim, cols)))
+        want = dense_oracle.traced_stack(ts, factors, lm, seq)
+        got = protocol._traced_stack(tree, lm.conj(), seq, work)
+        assert got.shape == want.shape and got.flags.f_contiguous
+        # 1e-15 of the same contraction on magnitudes, which bounds each
+        # entry and the rounding of both summation orders
+        scale = dense_oracle.traced_stack(ts, [np.abs(f) for f in factors], np.abs(lm), seq)
+        assert (np.abs(got - want) <= 1e-15 * scale.real).all(), seq
+        f_want = np.sum(np.linalg.svd(want, compute_uv=False)) ** 2
+        assert abs(protocol._uhlmann(got) - f_want) <= 1e-13 * f_want, seq
+    return tree
+
+
+def _random_assignment(rng, e, anc_dim, purifier_dim=2):
+    return extopt.ExtensionAssignment(e.dim, anc_dim, purifier_dim, tuple(
+        rng.normal(size=extopt.param_count(anc_dim, purifier_dim)) for _ in e.states))
+
+
+def test_traced_stack_matches_rows_oracle():
+    # The suffix-tree contraction sums the same products as the m x R x J rows
+    # array contracted with conj(L), in another order.
+    rng = np.random.default_rng(2024)
+    # a cap that cuts a type class: the benchmark's mixed triple, k = 6, m = 15
+    triple, assignment = _minimized_triple()
+    e_ext = extopt.extended_ensemble(triple, assignment)
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 6, eps=0.05)
+    assert len(ts.position_blocks) > 1
+    seqs = list(itertools.product(range(3), repeat=6))[::7]
+    _check_traced_stack(ts, triple.states, 2, seqs, 8, rng)
+    # rank-1 and rank-2 targets in one sequence, ancillas of dimension 1 and 3, k = 1 to 3
+    mixed = Ensemble([0.5, 0.5], (rand_density(rng, 2, rank=1), rand_density(rng, 2)))
+    for anc_dim in (1, 3):
+        e_ext = extopt.extended_ensemble(mixed, _random_assignment(rng, mixed, anc_dim))
+        for k in (1, 2, 3):
+            cap = int(rng.integers(1, (2 * anc_dim) ** k + 1))
+            ts = protocol.typical_subspace(states.ensemble_density(e_ext), k, dim_cap=cap)
+            seqs = list(itertools.product(range(2), repeat=k))
+            for cols in (1, 3):
+                _check_traced_stack(ts, mixed.states, anc_dim, seqs, cols, rng)
+    # hand-made string sets on a rank-4 extension of the qubit pair
+    e_ext = extopt.extended_ensemble(mixed, _random_assignment(rng, mixed, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 3, dim_cap=64)
+    assert len(ts.source_eigenvalues) == 4
+    for strings in (
+        [(0, 0, 0), (1, 2, 1), (2, 1, 2), (3, 3, 3)],  # no two share a suffix
+        [(0, 1, 2), (1, 1, 2), (2, 1, 2), (3, 1, 2)],  # all share s[1:]
+        [(0, 0, 0)],  # m = 1: the junk string alone
+    ):
+        custom = dataclasses.replace(ts, strings=np.array(strings), dim=len(strings))
+        _check_traced_stack(custom, mixed.states, 2, [(0, 1, 1), (1, 0, 0)], 4, rng)
+    # many groups per level: the levels split into several diagonal blocks
+    zp = zero_plus_pair()
+    e_ext = extopt.extended_ensemble(zp, _random_assignment(rng, zp, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 5, dim_cap=200)
+    seqs = [tuple(rng.integers(0, 2, size=5)) for _ in range(4)]
+    _, levels, _ = _check_traced_stack(ts, zp.states, 2, seqs, 33, rng)
+    assert max(len(level) for level in levels) > 1
+    # test_kernel_zero_rank_gram: T has no columns, so L is the junk column e_0
+    e = Ensemble([1.0, 0.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),
+                              DensityMatrix(np.diag([0.0, 1.0]), (2,))))
+    e_ext = extopt.extended_ensemble(e, extopt.trivial_assignment(e, 2, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 2, dim_cap=1)
+    junk = np.ones((1, 1), dtype=np.complex128)
+    _check_traced_stack(ts, e.states, 2, [(0, 1), (1, 1)], 1, rng, junk)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(ranks=st.lists(st.integers(1, 2), min_size=1, max_size=3), anc_dim=st.integers(1, 3),
+       purifier_dim=st.integers(1, 2), k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_partial_trace_never_lowers_fidelity(ranks, anc_dim, purifier_dim, k, seed, data):
+    # random small extension runs: no false alarm, F in [0, 1], and the traced
+    # average at least the pre-trace one
+    assume(anc_dim * purifier_dim >= max(ranks))  # the register holds each signal's support
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0, size=len(ranks))
+    e = Ensemble(p / p.sum(), tuple(rand_density(rng, 2, rank=r) for r in ranks))
+    cap = data.draw(st.integers(1, (2 * anc_dim) ** k))
+    assignment = _random_assignment(rng, e, anc_dim, purifier_dim)
+    res = protocol.extension_protocol(e, 1, assignment, k, dim_cap=cap, sampling="exact")
+    assert all(0.0 <= r.fidelity <= 1.0 for r in res.per_sequence)
+    assert res.ext_avg_fidelity <= res.avg_fidelity + linalg.ATOL
 
 
 def test_kernel_one_dimensional_source():
