@@ -23,9 +23,13 @@ s[t:] form a group, and the stack starts from conj(L), one row per string,
 absorbing one position at a time: each group's rows are summed, weighted by
 the position's factor, into the row of the group one position up.  A kernel
 stores these maps as block matrices once and reuses grow-only buffers,
-so an orbit costs a few GEMMs and one reorder.  The trace norm of a stack
-at least four times taller than wide is the sum of the singular values of
-its Householder QR triangle (the R-SVD).
+so an orbit costs a few GEMMs and one reorder.  One level short of the
+root, the children's stacks side by side go through one thin QR when they
+are at least twice as tall as wide, and the root is absorbed into the
+triangle instead: a shorter stack with the same singular values.  The
+trace norm of a stack of more than one column and at least twice as tall
+as wide is the sum of the singular values of its Householder QR triangle
+(the R-SVD).
 """
 
 import itertools
@@ -332,55 +336,87 @@ def _suffix_tree(ts: TypicalSubspace, factors):
 
 
 def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
-    """stack_j L^dag X_j (rows (j, l), columns r), from conj(L) along the suffix tree.
+    """A stack with the singular values of stack_j L^dag X_j, from conj(L) along the suffix tree.
 
     W starts as the rows of conj(L) in suffix order.  Absorbing position t
     sums E_{c_t}[s_t, r_t, j_t] W[g] over the children g of each group, one
     GEMM per diagonal block, into one of two buffers of ``work``; (r_t, j_t)
-    go before the columns.  The root's columns are (r_{k-1}, j_{k-1}, ...,
-    r_0, j_0, l), and one reorder writes them to a C-ordered R x (J l)
-    buffer whose transpose, the stack, is in Fortran order.
+    go before the columns.  Below the root, W's row d holds M_d, the (J' l) x
+    R' stack of the strings ending in d, and the stack is sum_d E_{c,d}^T (x)
+    M_d (rows (j, J' l), columns (r, R')).  When J' l >= 2 D R' for the D
+    children, the thin QR [M_0 ... M_{D-1}] = Q [R_0 ... R_{D-1}] leaves the
+    shorter sum_d E_{c,d}^T (x) R_d with the same singular values (I (x) Q
+    has orthonormal columns), formed by one GEMM with the root's block
+    matrix and one reorder.  Otherwise the root is absorbed too: the
+    stack_j L^dag X_j itself, rows (j, l).  Either stack is Fortran-ordered.
     """
     order, levels, dims = tree
-    cols, sizes = lc.shape[1], []
-    for t, c in enumerate(seq):
+    k, l = len(seq), lc.shape[1]
+    (r, j), (d, root) = dims[seq[-1]], levels[-1][0][3:]  # the root level is one block
+    rp = prod(dims[c][0] for c in seq[:-1])
+    jl = prod(dims[c][1] for c in seq[:-1]) * l
+    n = d * rp if jl >= 2 * d * rp else 0  # the root QR triangle's order; 0: no root QR
+    absorbed = seq[:-1] if n else seq
+    cols, sizes = l, []
+    for t, c in enumerate(absorbed):
         cols *= prod(dims[c])
         sizes.append(levels[t][-1][1] * cols)
-    _check_budget(sum(sizes) + cols, "traced-route array")
+    # then the QR's input, its triangle, the GEMM's output and the stack; or the stack
+    _check_budget(sum(sizes) + (n * jl + n * n + 2 * r * j * rp * n if n else cols),
+                  "traced-route array")
     w = lc[order]
-    for t, c in enumerate(seq):
+    for t, c in enumerate(absorbed):
         rj, parents = prod(dims[c]), levels[t][-1][1]
         out = _buffer(work, t % 2, (parents * rj, w.shape[1]))
         for p0, p1, g0, g1, blocks in levels[t]:
             np.matmul(blocks[c], w[g0:g1], out=out[p0 * rj:p1 * rj])
         w = out.reshape(parents, -1)
-    k = len(seq)
-    shape = [d for c in reversed(seq) for d in dims[c]] + [lc.shape[1]]
-    # r axes first; unit axes move nothing, and leaving them out keeps the
-    # rank within numpy's limit
-    axes = [a for a in (*range(0, 2 * k, 2), *range(1, 2 * k, 2), 2 * k) if shape[a] > 1]
-    kept = sorted(axes)
-    rows = prod(shape[0:2 * k:2])
-    stack = _buffer(work, "stack", (rows, cols // rows))
-    np.copyto(stack.reshape([shape[a] for a in axes]),
-              w.reshape([shape[a] for a in kept]).transpose([kept.index(a) for a in axes]))
+    if not n:
+        stack = _buffer(work, "stack", (r * rp, j * jl))
+        return _r_first(w, [dims[c] for c in reversed(seq)], l, stack).T
+    a = _buffer(work, "children", (n, jl))
+    a = _r_first(w, [dims[c] for c in reversed(absorbed)], l, a).T  # [M_0 ... M_{D-1}]
+    qr = _lapack("zgeqrf", a, overwrite_a=1)[0]  # in place: a is in Fortran order
+    tri = _buffer(work, "triangle", (n, n))  # the triangle's transpose, rows (d, r')
+    np.multiply(qr[:n], np.tri(n, dtype=bool).T, out=tri.T)  # zero the reflectors
+    out = _buffer(work, (k - 1) % 2, (r * j, rp * n))
+    np.matmul(root[seq[-1]], tri.reshape(d, rp * n), out=out)
+    stack = _buffer(work, "stack", (r * rp, j * n))
+    np.copyto(stack.reshape(r, rp, j, n), out.reshape(r, j, rp, n).transpose(0, 2, 1, 3))
     return stack.T
+
+
+def _r_first(w: np.ndarray, rj, l: int, out: np.ndarray) -> np.ndarray:
+    """W's columns (r, j of each position in ``rj``, then l) reordered to (r..., j..., l).
+
+    W's rows stay slowest.  One np.copyto from a transposed view writes them
+    into the C-ordered ``out``; unit axes move nothing, and leaving them out
+    keeps the rank within numpy's limit.
+    """
+    dims = [len(w)] + [x for pair in rj for x in pair] + [l]
+    k = len(rj)
+    axes = [a for a in (0, *range(1, 2 * k, 2), *range(2, 2 * k + 1, 2), 2 * k + 1) if dims[a] > 1]
+    kept = sorted(axes)
+    np.copyto(out.reshape([dims[a] for a in axes]),
+              w.reshape([dims[a] for a in kept]).transpose([kept.index(a) for a in axes]))
+    return out
 
 
 def _uhlmann(b: np.ndarray) -> float:
     """F = ||b||_1^2 for the Uhlmann stack b.
 
-    A stack at least four times taller than wide goes to its QR triangle
-    first, in place when it is in Fortran order: backward stable like the
-    SVD, and about two thirds of its cost at 512 x 64 (the R-SVD; Chan, ACM
-    TOMS 8, 72 (1982)).
+    A stack of more than one column and at least twice as tall as wide goes
+    to its QR triangle first, in place when it is in Fortran order: backward
+    stable like the SVD, and cheaper (the R-SVD; Chan, ACM TOMS 8, 72
+    (1982)).
     """
-    if b.shape[0] >= 4 * b.shape[1]:
-        b = np.triu(_lapack("zgeqrf", b, overwrite_a=1)[0][: b.shape[1]])
+    if b.shape[0] >= 2 * b.shape[1] > 2:
+        b = _lapack("zgeqrf", b, overwrite_a=1)[0][: b.shape[1]]
+        np.multiply(b, np.tri(len(b), dtype=bool).T, out=b)  # zero the reflectors
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
-def _check_budget(elements: int, what: str = "per-sequence array") -> None:
+def _check_budget(elements: int, what: str) -> None:
     if elements > MATERIALIZE_ELEMENT_BUDGET:
         raise DimensionGuardError(f"{what} of {elements} elements exceeds the element budget")
 
@@ -401,11 +437,12 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
 
     def fidelities(seq) -> tuple[float, float | None]:
         q = prod(inputs[c].shape[1] for c in seq)
-        # the Cholesky route holds up to five m x m arrays at once: the Gram,
-        # zpstrf's copy, np.tril's copy and T while factoring, then T, L,
-        # conj(L), the pre-trace stack and svd's copy of it
-        _check_budget(m * q if q < m else 5 * m * m,
-                      "per-sequence array" if q < m else "Cholesky-route working set")
+        # the rows route holds T, L and conj(L) (m x (Q + 1) each) and the
+        # (Q + 1) x Q pre-trace stack; the Cholesky route up to five m x m
+        # arrays: the Gram, zpstrf's copy, np.tril's copy and T while
+        # factoring, then T, L, conj(L), the pre-trace stack and svd's copy
+        _check_budget((3 * m + q) * (q + 1) if q < m else 5 * m * m,
+                      "rows-route working set" if q < m else "Cholesky-route working set")
         if q < m:
             t = _sequence_rows(ts, inputs, seq)[:, :, 0]
         else:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -331,6 +332,27 @@ def test_cholesky_working_set_guard_allocates_nothing():
     assert peak < 2 ** 20
 
 
+def test_rows_working_set_guard_allocates_nothing(monkeypatch):
+    # m Q fits the budget, but the rows route (Q < m) holds T, L and conj(L),
+    # about 3 m Q elements (3.1 m Q under tracemalloc at m = 1500, Q = 128),
+    # so the guard fires before the rows are gathered
+    monkeypatch.setattr(linalg, "MAX_DIM", 4 ** 9)
+    rng = np.random.default_rng(11)
+    e = Ensemble([0.5, 0.5], (rand_density(rng, 4, rank=2), rand_density(rng, 4, rank=2)))
+    ts = protocol.typical_subspace(states.ensemble_density(e), 9, dim_cap=11000)
+    q = 2 ** 9
+    assert q < ts.dim and ts.dim * q <= protocol.MATERIALIZE_ELEMENT_BUDGET
+    kernel = protocol._fidelity_kernel(ts, e.states)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match="rows-route working set"):
+            kernel((0, 1) * 4 + (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_js_protocol_mc_deterministic_and_close_to_exact():
     e = zero_plus_pair()
     exact = protocol.js_protocol(e, 6, dim_cap=14, sampling="exact")
@@ -463,13 +485,13 @@ def test_kernel_matches_dense_oracle_random_mixed():
 def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes
-    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 15)
+    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 20)
     e = zero_plus_pair()
-    protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")  # rows: 3 x 1
-    with pytest.raises(DimensionGuardError):
-        protocol.js_protocol(e, 4, dim_cap=16, sampling="exact")  # rows: 16 x 1
+    protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")  # rows: (3 x 3 + 1) x 2
+    with pytest.raises(DimensionGuardError, match="rows-route working set"):
+        protocol.js_protocol(e, 4, dim_cap=16, sampling="exact")  # rows: (3 x 16 + 1) x 2
     mixed = orthogonal_pair()
-    with pytest.raises(DimensionGuardError):
+    with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Cholesky: 5 x 4 x 4
     triv = extopt.trivial_assignment(mixed, 2, 2)
     # the Cholesky set 5 x 3 x 3 and the traced route's block matrices (96
@@ -526,18 +548,24 @@ def _lapack_calls(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize("m, cols, r, j, rank, tall", [
-    (15, 8, 64, 64, None, True),  # ep-visible's mixed triple: a 512 x 64 stack
+    (15, 8, 64, 64, None, True),  # the mixed triple's unreduced traced stack: 512 x 64
+    (15, 8, 64, 32, None, True),  # the mixed triple's root QR input: 256 x 64
+    (15, 8, 64, 16, None, True),  # the mixed triple's reduced traced stack: 128 x 64
     (6, 3, 4, 8, None, True),  # 24 x 4
+    (6, 2, 2, 2, None, True),  # 4 x 2: exactly twice as tall
     (6, 3, 6, 2, None, False),  # square 6 x 6
     (6, 3, 12, 1, None, False),  # wide 3 x 12
     (6, 3, 8, 16, 2, True),  # 48 x 8 of rank 2
     (5, 4, 8, 2, 1, False),  # 8 x 8 of rank 1
-    (5, 2, 1, 8, None, True),  # one column, 16 x 1
+    (5, 2, 1, 8, None, False),  # one column, 16 x 1
     (5, 2, 1, 1, None, False),  # one column, 2 x 1: a rank-1 JS sequence
+    (6, 3, 2, 1, None, False),  # 3 x 2: a rank-2 JS sequence
+    (6, 5, 4, 1, None, False),  # 5 x 4: a rank-4 JS sequence
 ])
 def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank, tall):
-    # ||stack_j L^dag X_j||_1 against one SVD of the raw stack; a stack at
-    # least four times taller than wide goes through zgeqrf
+    # ||stack_j L^dag X_j||_1 against one SVD of the raw stack; a stack of
+    # more than one column and at least twice as tall as wide goes through
+    # one zgeqrf, so the (c + 1) x c pre-trace stacks of JS never do
     rng = np.random.default_rng(m * 1000 + r * 10 + j)
 
     def cplx(*shape):
@@ -558,11 +586,15 @@ def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank,
 
 def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
     # test_kernel_zero_rank_gram's stacks: the pre-trace one has no columns
-    # (T is m x 0), the traced one is a 4 x 1 zero column
+    # (T is m x 0), the traced one a 2 x 1 zero column after the root QR (a
+    # 4 x 1 column before it); a zero stack of two columns does reach zgeqrf
     calls = _lapack_calls(monkeypatch)
     assert protocol._uhlmann(np.zeros((1, 0), dtype=np.complex128)) == 0.0
+    assert protocol._uhlmann(np.zeros((2, 1), dtype=np.complex128, order="F")) == 0.0
     assert protocol._uhlmann(np.zeros((4, 1), dtype=np.complex128, order="F")) == 0.0
-    assert calls == ["zgeqrf"] * 2
+    assert calls == []
+    assert protocol._uhlmann(np.zeros((4, 2), dtype=np.complex128, order="F")) == 0.0
+    assert calls == ["zgeqrf"]
 
 
 def test_kernel_workspace_reuse_is_order_free(monkeypatch):
@@ -602,26 +634,46 @@ def test_kernel_workspace_reuse_is_order_free(monkeypatch):
 
 
 def _check_traced_stack(ts, targets, anc_dim, seqs, cols, rng, l=None):
-    """The suffix-tree stack against the rows-array oracle, for each sequence; returns the tree."""
+    """The suffix-tree stack against the rows-array oracle, for each sequence.
+
+    Where the root QR applies (J' l >= 2 D R' for the D distinct last digits,
+    J' and R' the ancilla and rank products of the first k - 1 positions), the
+    stack is the shorter (j D R') x (r R') one with the oracle's singular
+    values; elsewhere it is the oracle's stack, entry by entry.  Returns the
+    tree and the set of routes taken (True: the root QR).
+    """
     factors = protocol._amplitude_factors(ts, targets, anc_dim)
     tree = protocol._suffix_tree(ts, factors)
     # every level has one group per distinct suffix: equal suffixes merge
     suffixes = [{tuple(x[t:]) for x in ts.strings.tolist()} for t in range(1, ts.block_length + 1)]
     assert [level[-1][1] for level in tree[1]] == [len(x) for x in suffixes]
-    work = {}
+    d = len(set(ts.strings[:, -1].tolist()))  # the root's children
+    work, routes = {}, set()
     for seq in seqs:
         lm = l if l is not None else (
             rng.normal(size=(ts.dim, cols)) + 1j * rng.normal(size=(ts.dim, cols)))
         want = dense_oracle.traced_stack(ts, factors, lm, seq)
         got = protocol._traced_stack(tree, lm.conj(), seq, work)
-        assert got.shape == want.shape and got.flags.f_contiguous
-        # 1e-15 of the same contraction on magnitudes, which bounds each
-        # entry and the rounding of both summation orders
-        scale = dense_oracle.traced_stack(ts, [np.abs(f) for f in factors], np.abs(lm), seq)
-        assert (np.abs(got - want) <= 1e-15 * scale.real).all(), seq
+        assert got.flags.f_contiguous
+        r, j = factors[seq[-1]].shape[1:]
+        rp = prod(factors[c].shape[1] for c in seq[:-1])
+        jl = prod(factors[c].shape[2] for c in seq[:-1]) * lm.shape[1]
+        routes.add(jl >= 2 * d * rp)
+        if jl >= 2 * d * rp:
+            assert got.shape == (j * d * rp, r * rp), seq
+            # every singular value, the oracle's beyond the short stack's count zero
+            sv_got, sv_want = (np.linalg.svd(b, compute_uv=False) for b in (got, want))
+            sv_got = np.pad(sv_got, (0, len(sv_want) - len(sv_got)))
+            assert (np.abs(sv_got - sv_want) <= 1e-13 * sv_want.max()).all(), seq
+        else:
+            assert got.shape == want.shape, seq
+            # 1e-15 of the same contraction on magnitudes, which bounds each
+            # entry and the rounding of both summation orders
+            scale = dense_oracle.traced_stack(ts, [np.abs(f) for f in factors], np.abs(lm), seq)
+            assert (np.abs(got - want) <= 1e-15 * scale.real).all(), seq
         f_want = np.sum(np.linalg.svd(want, compute_uv=False)) ** 2
         assert abs(protocol._uhlmann(got) - f_want) <= 1e-13 * f_want, seq
-    return tree
+    return tree, routes
 
 
 def _random_assignment(rng, e, anc_dim, purifier_dim=2):
@@ -631,7 +683,8 @@ def _random_assignment(rng, e, anc_dim, purifier_dim=2):
 
 def test_traced_stack_matches_rows_oracle():
     # The suffix-tree contraction sums the same products as the m x R x J rows
-    # array contracted with conj(L), in another order.
+    # array contracted with conj(L), in another order; where the root QR
+    # applies, only the singular values are the oracle's.
     rng = np.random.default_rng(2024)
     # a cap that cuts a type class: the benchmark's mixed triple, k = 6, m = 15
     triple, assignment = _minimized_triple()
@@ -666,7 +719,7 @@ def test_traced_stack_matches_rows_oracle():
     e_ext = extopt.extended_ensemble(zp, _random_assignment(rng, zp, 2))
     ts = protocol.typical_subspace(states.ensemble_density(e_ext), 5, dim_cap=200)
     seqs = [tuple(rng.integers(0, 2, size=5)) for _ in range(4)]
-    _, levels, _ = _check_traced_stack(ts, zp.states, 2, seqs, 33, rng)
+    (_, levels, _), _ = _check_traced_stack(ts, zp.states, 2, seqs, 33, rng)
     assert max(len(level) for level in levels) > 1
     # test_kernel_zero_rank_gram: T has no columns, so L is the junk column e_0
     e = Ensemble([1.0, 0.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),
@@ -675,6 +728,46 @@ def test_traced_stack_matches_rows_oracle():
     ts = protocol.typical_subspace(states.ensemble_density(e_ext), 2, dim_cap=1)
     junk = np.ones((1, 1), dtype=np.complex128)
     _check_traced_stack(ts, e.states, 2, [(0, 1), (1, 1)], 1, rng, junk)
+
+
+def test_root_qr_stack_matches_svd_oracle():
+    # The root QR replaces the stack sum_d E_d^T (x) M_d by sum_d E_d^T (x) R_d,
+    # [M_0 ...] = Q [R_0 ...]: every singular value stays the rows-array
+    # oracle's, to 1e-13 of the largest.  Each case names the route it takes.
+    rng = np.random.default_rng(31)
+    # the mixed triple at k = 6, a cap that cuts a type class: 512 x 64 -> 128 x 64
+    triple, assignment = _minimized_triple()
+    e_ext = extopt.extended_ensemble(triple, assignment)
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 6, eps=0.05)
+    assert len(ts.position_blocks) > 1
+    seqs = [(0, 1, 2, 0, 1, 2), (2, 2, 2, 2, 2, 2), (1, 0, 0, 2, 2, 1)]
+    assert _check_traced_stack(ts, triple.states, 2, seqs, 8, rng)[1] == {True}
+    mixed = Ensemble([0.5, 0.5], (rand_density(rng, 2, rank=1), rand_density(rng, 2)))
+    e_ext = extopt.extended_ensemble(mixed, _random_assignment(rng, mixed, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 3, dim_cap=64)
+    # D = 1: every kept string ends in the same digit
+    d_one = dataclasses.replace(ts, strings=np.array([(0, 1, 2), (3, 0, 2), (2, 2, 2)]), dim=3)
+    seqs = list(itertools.product(range(2), repeat=3))
+    assert _check_traced_stack(d_one, mixed.states, 2, seqs, 3, rng)[1] == {True}
+    # k = 1 and m = 1: the QR of one 2 x 1 child (L of two columns), declined for one
+    e1 = dataclasses.replace(ts, strings=np.array([(0,)]), dim=1, block_length=1)
+    assert _check_traced_stack(e1, mixed.states, 2, [(0,), (1,)], 2, rng)[1] == {True}
+    assert _check_traced_stack(e1, mixed.states, 2, [(0,), (1,)], 1, rng)[1] == {False}
+    # pure targets (R = 1) with ancillas of dimension 1 and 3; one column of L
+    # with no ancilla leaves J' l = 1 below 2 D, so the rule declines there
+    zp = zero_plus_pair()
+    for anc_dim, cols, route in ((1, 1, {False}), (1, 4, {True}), (3, 1, {True})):
+        e_ext = extopt.extended_ensemble(zp, _random_assignment(rng, zp, anc_dim))
+        ts = protocol.typical_subspace(states.ensemble_density(e_ext), 3, dim_cap=6)
+        seqs = list(itertools.product(range(2), repeat=3))
+        assert _check_traced_stack(ts, zp.states, anc_dim, seqs, cols, rng)[1] == route
+    # the zero Gram: L is the junk column e_0, and the reduced stack is a zero 2 x 1
+    e = Ensemble([1.0, 0.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),
+                              DensityMatrix(np.diag([0.0, 1.0]), (2,))))
+    e_ext = extopt.extended_ensemble(e, extopt.trivial_assignment(e, 2, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 2, dim_cap=1)
+    junk = np.ones((1, 1), dtype=np.complex128)
+    assert _check_traced_stack(ts, e.states, 2, [(0, 1), (1, 1)], 1, rng, junk)[1] == {True}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
