@@ -19,6 +19,10 @@ Frechet derivative from the same U and theta (Najfeld & Havel, Adv. Appl.
 Math. 16, 321 (1995); Higham, Functions of Matrices, ch. 3 and 10).  Its
 divided differences are written with sinc, which never divides by an
 eigenvalue gap, so degenerate eigenvalues need no threshold.
+
+Each start runs a numpy L-BFGS (Liu & Nocedal, Math. Prog. 45, 503 (1989))
+with a strong-Wolfe line search (Nocedal & Wright, Numerical Optimization,
+Alg. 3.5-3.6 and 7.4), so the minimizer needs no scipy.
 """
 
 import warnings
@@ -40,10 +44,16 @@ from .states import (
 # reported entropies are always unregularized.
 GRAD_REGULARIZATION = 1e-10
 
-# L-BFGS-B stopping tolerances: relative entropy decrease (ftol) and
-# projected gradient size (gtol).
+# L-BFGS stopping tolerances: a start has converged when its largest gradient
+# entry is at most STEP_TOLERANCE, or when a step lowers the entropy by at most
+# ENTROPY_TOLERANCE relative to max(|f_k|, |f_k+1|, 1).
 ENTROPY_TOLERANCE = 1e-11
 STEP_TOLERANCE = 1e-8
+# L-BFGS memory, and the strong-Wolfe constants and evaluation budget of its
+# line search (scipy's L-BFGS-B defaults: maxcor, maxls).
+LBFGS_HISTORY = 10
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+LINE_SEARCH_EVALS = 20
 
 
 @dataclass(frozen=True)
@@ -315,19 +325,75 @@ def _assignment_from_flat(
     )
 
 
+def _wolfe_step(fun, x, f0: float, g0: np.ndarray, d: np.ndarray):
+    """A point x + a d meeting both strong-Wolfe conditions, as (x, f, g), or None.
+
+    Doubles a from 1 until it brackets such a point, then bisects the bracket
+    (Nocedal & Wright, Alg. 3.5-3.6): ``lo`` is the lowest sufficient-decrease
+    point so far and ``hi`` the other end, as (a, f, g.d).
+    """
+    dg0 = float(g0 @ d)
+    lo, hi, a = (0.0, f0, dg0), None, 1.0
+    for _ in range(LINE_SEARCH_EVALS):
+        f, g = fun(x + a * d)
+        dg = float(g @ d)
+        if not f <= f0 + WOLFE_C1 * a * dg0 or f >= lo[1]:
+            hi = (a, f, dg)
+        elif abs(dg) <= -WOLFE_C2 * dg0:
+            return x + a * d, f, g
+        else:
+            if dg * ((hi[0] if hi else np.inf) - a) >= 0:
+                hi = lo
+            lo = (a, f, dg)
+        a = 2.0 * a if hi is None else 0.5 * (lo[0] + hi[0])
+    return None
+
+
+def _lbfgs(fun, x: np.ndarray, max_iters: int):
+    """Minimize ``fun`` (value, gradient) from x: (x, iterations, converged, message)."""
+    f, g = fun(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    it = 0
+    while True:
+        if np.abs(g).max() <= STEP_TOLERANCE:
+            return x, it, True, "gradient entries within STEP_TOLERANCE"
+        if it == max_iters:
+            return x, it, False, "iteration limit reached"
+        if not pairs:
+            d = -g / max(float(np.linalg.norm(g)), 1.0)
+        else:  # the two-loop recursion
+            d, alphas = -g, []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ d))
+                d = d - alphas[-1] * y
+            _, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))  # times gamma = s.y / y.y
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                d = d + (alpha - rho * (y @ d)) * s
+        step = _wolfe_step(fun, x, f, g, d)
+        if step is None:
+            return x, it, False, f"no strong-Wolfe step in {LINE_SEARCH_EVALS} evaluations"
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0:
+            pairs = pairs[1 - LBFGS_HISTORY:] + [(s, y, 1.0 / sy)]
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g, it = x_new, f_new, g_new, it + 1
+        if decrease <= ENTROPY_TOLERANCE:
+            return x, it, True, "relative entropy decrease within ENTROPY_TOLERANCE"
+
+
 def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeResult:
     """Multistart minimization of S(rho^ext) over extension assignments.
 
     Start 0 is always the trivial (zero-parameter) assignment, so the result
     never exceeds S(ensemble density).  Seeded random starts follow; each
-    draws its own sub-seed from (seed, start index).  L-BFGS-B minimizes the
+    draws its own sub-seed from (seed, start index).  L-BFGS minimizes the
     regularized entropy with the analytic gradient; reported entropies are
     unregularized.  Ties across starts break toward the lowest start index.
     A best start that did not converge is reported with a UserWarning.
     """
-    # imported here: scipy.optimize doubles the import time of the package
-    import scipy.optimize
-
     dim_q = e.dim
     e = product_ensemble(e, cfg.n_block)
     ancilla_dim = cfg.ancilla_dim
@@ -363,34 +429,24 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     best_entropy = np.inf
     best_x, best_idx = starts[0], 0
     for idx, x0 in enumerate(starts):
-        res = scipy.optimize.minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": cfg.max_iters,
-                "ftol": ENTROPY_TOLERANCE,
-                "gtol": STEP_TOLERANCE,
-            },
-        )
-        if not np.all(np.isfinite(res.x)):
+        x, iterations, converged, message = _lbfgs(objective, x0, cfg.max_iters)
+        if not np.all(np.isfinite(x)):
             raise ValidationError(f"optimizer returned non-finite parameters (start {idx})")
         init_s = plain_entropy(x0)
-        final_s = plain_entropy(res.x)
+        final_s = plain_entropy(x)
         history.append(
             StartRecord(
                 start_index=idx,
                 initial_entropy=init_s,
                 final_entropy=final_s,
-                iterations=int(res.nit),
-                converged=bool(res.success),
-                message=str(res.message),
+                iterations=iterations,
+                converged=converged,
+                message=message,
             )
         )
         if final_s < best_entropy:
             best_entropy = final_s
-            best_x, best_idx = res.x, idx
+            best_x, best_idx = x, idx
     best = history[best_idx]
     if not best.converged:
         warnings.warn(

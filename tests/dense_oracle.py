@@ -8,7 +8,8 @@ is the loop-and-sort reference for the string order of ``typical_subspace``,
 ``sequence_gram`` the ``np.ix_`` reference for the kernel's Gram gather, and
 ``traced_stack`` the rows-array reference for the kernel's traced stack.
 ``expm_frechet_gradient`` is the minimizer's objective and gradient by
-scipy's Pade ``expm`` and ``expm_frechet``, one state at a time.
+scipy's Pade ``expm`` and ``expm_frechet``, one state at a time, and
+``lbfgsb`` runs one minimizer start by scipy's L-BFGS-B.
 """
 
 import functools
@@ -16,6 +17,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from enscomp import extopt, linalg, protocol
 from enscomp.fidelity import PureState
@@ -234,3 +236,13 @@ def expm_frechet_gradient(e, assignment) -> tuple[float, np.ndarray]:
         za = zg - zg.conj().T
         grads.append(np.concatenate([2.0 * za.real.ravel(), 2.0 * za.imag.ravel()]))
     return value, np.concatenate(grads)
+
+
+def lbfgsb(fun, x, max_iters: int):
+    """``extopt._lbfgs`` by scipy's L-BFGS-B with the same stopping tolerances."""
+    res = scipy.optimize.minimize(
+        fun, x, jac=True, method="L-BFGS-B",
+        options={"maxiter": max_iters, "ftol": extopt.ENTROPY_TOLERANCE,
+                 "gtol": extopt.STEP_TOLERANCE},
+    )
+    return res.x, int(res.nit), bool(res.success), str(res.message)

@@ -70,8 +70,8 @@ def test_public_names_are_pinned():
 def _run_without_scipy(code: str) -> None:
     """Run ``code`` in a fresh interpreter; it must leave no scipy module loaded.
 
-    scipy.linalg and scipy.optimize together more than double the package's
-    import time, so only the Cholesky route and the minimizer load them.
+    scipy.linalg more than doubles the package's import time, so only the
+    fidelity kernel's Cholesky and traced routes load it.
     """
     src = pathlib.Path(enscomp.__file__).resolve().parent.parent
     check = (
@@ -88,16 +88,37 @@ def test_cli_import_leaves_scipy_unloaded():
     _run_without_scipy("import sys, enscomp.cli")
 
 
-def test_rows_route_simulation_leaves_scipy_unloaded(tmp_path):
-    # pure signals have rank 1, so every sequence takes the rows route
+def _zero_plus_file(tmp_path) -> str:
     from enscomp import cli, reference
 
     path = tmp_path / "zero-plus.json"
     cli.save_ensemble(reference.zero_plus_pair(), str(path))
+    return str(path)
+
+
+def test_analyze_leaves_scipy_unloaded(tmp_path):
+    _run_without_scipy(
+        "import sys, enscomp.cli; "
+        f"assert enscomp.cli.main(['analyze', {_zero_plus_file(tmp_path)!r}]) == 0"
+    )
+
+
+def test_minimize_leaves_scipy_unloaded(tmp_path):
+    out = tmp_path / "min.csv"
+    _run_without_scipy(
+        "import sys, enscomp.cli; "
+        f"assert enscomp.cli.main(['minimize', {_zero_plus_file(tmp_path)!r}, "
+        f"'--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text().count("\n") > 1
+
+
+def test_rows_route_simulation_leaves_scipy_unloaded(tmp_path):
+    # pure signals have rank 1, so every sequence takes the rows route
     out = tmp_path / "out.csv"
     _run_without_scipy(
         "import sys, enscomp.cli; "
-        f"assert enscomp.cli.main(['simulate-js', {str(path)!r}, '--n', '4', "
+        f"assert enscomp.cli.main(['simulate-js', {_zero_plus_file(tmp_path)!r}, '--n', '4', "
         f"'--dim-cap', '9', '--out', {str(out)!r}]) == 0"
     )
     assert out.read_text().count("\n") > 1

@@ -9,6 +9,7 @@ from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
 from conftest import rand_density, rand_ensemble, rand_rank_density, rand_unitary
+from test_known_answer import redundant_part_ensemble
 
 
 def orthogonal_pair():
@@ -24,6 +25,15 @@ def zero_plus_pair():
         (DensityMatrix(np.diag([1.0, 0.0]), (2,)),
          DensityMatrix(np.outer(plus, plus), (2,))),
     )
+
+
+def mixed_triple():
+    """Three full-rank qubit states with chi < S_min < S(rho): 0.239 < 0.428 < 0.949."""
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    blochs = ((-0.298, 0.090, -0.615), (0.666, -0.264, 0.251), (-0.059, -0.128, -0.301))
+    return Ensemble([0.209, 0.380, 0.411], tuple(
+        DensityMatrix(0.5 * (np.eye(2) + sum(b * p for b, p in zip(bloch, paulis))), (2,))
+        for bloch in blochs))
 
 
 def test_extension_trivial_params(rng):
@@ -305,13 +315,83 @@ def test_minimize_warns_when_best_start_stops_early():
                                          r"\(max_iters 5"):
         res = extopt.minimize_extension_entropy(e, cfg)
     assert not any(h.converged for h in res.history)
+    assert all(h.iterations == 5 for h in res.history)
+
+
+def test_minimize_zero_iterations_takes_no_step():
+    cfg = extopt.OptimizerConfig(multistarts=3, max_iters=0, seed=7)
+    res = extopt.minimize_extension_entropy(zero_plus_pair(), cfg)
+    assert [h.iterations for h in res.history] == [0, 0, 0]
+    assert [h.final_entropy for h in res.history] == [h.initial_entropy for h in res.history]
+    # only the trivial start is stationary, so only it has converged
+    assert [h.converged for h in res.history] == [True, False, False]
+
+
+@pytest.mark.parametrize("source", [zero_plus_pair, orthogonal_pair])
+def test_trivial_start_converges_in_zero_iterations(source):
+    cfg = extopt.OptimizerConfig(multistarts=1, ancilla_dim=2, purifier_dim=2)
+    start = extopt.minimize_extension_entropy(source(), cfg).history[0]
+    assert start.iterations == 0 and start.converged
 
 
 def test_minimize_converged_best_start_is_silent():
-    # the best start is a random one that converges in 25 iterations
+    # the best start is a random one that converges in 24 iterations
     cfg = extopt.OptimizerConfig(multistarts=2, seed=3, ancilla_dim=2, purifier_dim=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = extopt.minimize_extension_entropy(orthogonal_pair(), cfg)
     best = min(res.history, key=lambda h: h.final_entropy)
     assert best.start_index == 1 and best.converged
+
+
+def test_lbfgs_minimizes_a_convex_quadratic_by_strong_wolfe_steps(monkeypatch):
+    # f = (x - x*)^T A (x - x*) / 2 has minimum 0, so the entropy-decrease rule
+    # stops once a step gains about 1e-11, within about sqrt(2e-11 / lambda_min)
+    # of x*; A's eigenvalues 1e6..1e8 put that below the 1e-8 asserted below
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+    a = (q * np.logspace(6, 8, 10)) @ q.T
+    x_min = 100.0 * rng.normal(size=10)  # far beyond the unit first step
+    evaluations = []
+
+    def fun(x):
+        evaluations.append(x)
+        return float(0.5 * (x - x_min) @ a @ (x - x_min)), a @ (x - x_min)
+
+    steps = []
+
+    def recording_step(fun, x, f0, g0, d):
+        step = wolfe_step(fun, x, f0, g0, d)
+        steps.append((x, f0, g0, step))
+        return step
+
+    wolfe_step = extopt._wolfe_step
+    monkeypatch.setattr(extopt, "_wolfe_step", recording_step)
+    x, iterations, converged, _ = extopt._lbfgs(fun, np.zeros(10), 500)
+    assert converged and iterations == len(steps)
+    assert np.abs(x - x_min).max() <= 1e-8
+    assert len(evaluations) > iterations + 1  # some steps needed more than one trial
+    for x0, f0, g0, (x1, f1, g1) in steps:
+        s = x1 - x0
+        assert f1 <= f0 + extopt.WOLFE_C1 * (g0 @ s)
+        assert abs(g1 @ s) <= extopt.WOLFE_C2 * abs(g0 @ s)
+
+
+def test_minimize_matches_scipy_lbfgsb_oracle(monkeypatch):
+    # scipy's L-BFGS-B from the same starts is the reference optimizer: the
+    # numpy L-BFGS must end no higher than it, and not below chi
+    rng = np.random.default_rng(16)
+    cases = [orthogonal_pair(), zero_plus_pair(), mixed_triple(),
+             Ensemble([1.0], (DensityMatrix(np.eye(2) / 2, (2,)),)),
+             redundant_part_ensemble(rand_unitary(rng, 4)),
+             redundant_part_ensemble(rand_unitary(rng, 4))]
+    cases += [rand_ensemble(np.random.default_rng(seed), 2, 3) for seed in (1, 2, 3)]
+    cfg = extopt.OptimizerConfig(multistarts=8, seed=102, ancilla_dim=2, purifier_dim=2)
+    for e in cases:
+        res = extopt.minimize_extension_entropy(e, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(extopt, "_lbfgs", dense_oracle.lbfgsb)
+            ref = extopt.minimize_extension_entropy(e, cfg)
+        assert res.best_entropy <= ref.best_entropy + bounds.ENVELOPE_TOL
+        assert res.best_entropy >= states.holevo_quantity(e) - bounds.ENVELOPE_TOL
+        assert min(res.history, key=lambda h: h.final_entropy).converged
