@@ -23,4 +23,4 @@ class BoundViolationError(EnscompError):
 
 
 class DimensionGuardError(EnscompError):
-    """A requested computation exceeds the configured dimension budget."""
+    """A requested computation exceeds a resource limit of ``linalg.check_limit``."""

@@ -214,8 +214,9 @@ def trivial_assignment(
     e: Ensemble, ancilla_dim: int, purifier_dim: int | None = None
 ) -> ExtensionAssignment:
     q = e.dim * ancilla_dim if purifier_dim is None else purifier_dim
-    z = np.zeros(param_count(ancilla_dim, q))
-    return ExtensionAssignment(e.dim, ancilla_dim, q, tuple(z.copy() for _ in e.states))
+    linalg.check_limit(len(e) * (ancilla_dim * q) ** 2, "elements of the trivial assignment")
+    size = param_count(ancilla_dim, q)
+    return ExtensionAssignment(e.dim, ancilla_dim, q, tuple(np.zeros(size) for _ in e.states))
 
 
 def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
@@ -229,6 +230,11 @@ def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
             f"assignment has {len(assignment.params)} param vectors "
             f"for {len(e)} states"
         )
+    # the extensions and their eigenvectors, one more state's worth while one
+    # is built, and the isometry's n x n arrays (3.1 n^2 traced)
+    a, n = assignment.ancilla_dim, assignment.ancilla_dim * assignment.purifier_dim
+    linalg.check_limit(2 * (len(e) + 1) * (e.dim * a) ** 2 + 4 * n * n,
+                       "elements of the extended ensemble")
     exts = tuple(
         extension_from_params(s, p, assignment.ancilla_dim, assignment.purifier_dim)
         for s, p in zip(e.states, assignment.params)
@@ -372,6 +378,9 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int):
                 d = d + (alpha - rho * (y @ d)) * s
         step = _wolfe_step(fun, x, f, g, d)
         if step is None:
+            # a predicted decrease the relative-decrease rule would not see converges
+            if -float(g @ d) <= ENTROPY_TOLERANCE * max(abs(f), 1.0):
+                return x, it, True, "relative entropy decrease within ENTROPY_TOLERANCE"
             return x, it, False, f"no strong-Wolfe step in {LINE_SEARCH_EVALS} evaluations"
         x_new, f_new, g_new = step
         s, y = x_new - x, g_new - g
@@ -406,17 +415,14 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     purifier_dim = (
         e.dim * ancilla_dim if cfg.purifier_dim is None else cfg.purifier_dim
     )
-    linalg.check_dim_guard(e.dim * ancilla_dim)
-    regs = _registers(e, ancilla_dim, purifier_dim)
     n = ancilla_dim * purifier_dim
     total = 2 * n * n * len(e)
-
-    starts: list[np.ndarray] = [np.zeros(total)]
-    for idx in range(1, cfg.multistarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,))
-        )
-        starts.append(rng.normal(0.0, 1.0, size=total))
+    # L-BFGS holds about 28 vectors of ``total`` reals (its 10 (s, y) pairs, x,
+    # g, d and the line search's), the objective N x da x da products: traced
+    # peaks reach 34-37 N n^2 (n = 16 to 64) and 2.6 N (da)^2 complex elements
+    linalg.check_limit(20 * total + 3 * len(e) * (e.dim * ancilla_dim) ** 2,
+                       "elements of the minimizer working set")
+    regs = _registers(e, ancilla_dim, purifier_dim)
 
     def objective(x):
         return _entropy_and_gradient(e, regs, x, ancilla_dim, purifier_dim)
@@ -426,9 +432,10 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         return entropy_of_eigenvalues(np.linalg.eigvalsh(rho))
 
     history = []
-    best_entropy = np.inf
-    best_x, best_idx = starts[0], 0
-    for idx, x0 in enumerate(starts):
+    best_entropy, best_x, best_idx = np.inf, None, 0
+    for idx in range(cfg.multistarts):  # each start is drawn when it runs
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)))
+        x0 = rng.normal(0.0, 1.0, size=total) if idx else np.zeros(total)
         x, iterations, converged, message = _lbfgs(objective, x0, cfg.max_iters)
         if not np.all(np.isfinite(x)):
             raise ValidationError(f"optimizer returned non-finite parameters (start {idx})")

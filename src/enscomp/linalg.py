@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import DimensionGuardError, ValidationError
 
-# Desk-scale protection against accidental exponential blowup.  Module-level
-# so callers can raise it deliberately for a big run.
+# The hard size limits, checked by ``check_limit`` alone.  Module-level so a
+# caller can raise one deliberately for a big run.  MAX_DIM caps a dense
+# dimension; ELEMENT_BUDGET caps the complex elements one call holds at once.
 MAX_DIM = 2 ** 14
+ELEMENT_BUDGET = 2 ** 24
 
 # The one absolute rounding budget of every runtime check: hermiticity, unit
 # trace, probability sums, extension trace defects, fidelity ranges and the
@@ -40,12 +42,15 @@ class EigDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def check_dim_guard(dim: int) -> None:
-    """Raise DimensionGuardError if ``dim`` exceeds ``MAX_DIM``."""
-    if dim > MAX_DIM:
-        raise DimensionGuardError(
-            f"dimension {dim} exceeds the configured guard {MAX_DIM}"
-        )
+def check_limit(count: int, what: str, limit: int | None = None) -> None:
+    """The one resource guard: DimensionGuardError when ``count`` exceeds ``limit``.
+
+    ``limit`` defaults to ELEMENT_BUDGET, read at the call.  Callers count
+    before they allocate, so a refused run holds nothing.
+    """
+    limit = ELEMENT_BUDGET if limit is None else limit
+    if count > limit:
+        raise DimensionGuardError(f"{what}: {count} exceeds the limit {limit}")
 
 
 def _as_complex(m) -> np.ndarray:
@@ -59,8 +64,8 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the left factor on the slow index."""
     a = _as_complex(a)
     b = _as_complex(b)
-    check_dim_guard(a.shape[0] * b.shape[0])
-    check_dim_guard(a.shape[-1] * b.shape[-1])
+    check_limit(a.shape[0] * b.shape[0], "dimension", MAX_DIM)
+    check_limit(a.shape[-1] * b.shape[-1], "dimension", MAX_DIM)
     return np.kron(a, b)
 
 

@@ -39,17 +39,16 @@ from math import prod
 import numpy as np
 
 from . import linalg
-from .errors import BoundViolationError, DimensionGuardError, ValidationError
+from .errors import BoundViolationError, ValidationError
 from .extopt import ExtensionAssignment, extended_ensemble
 from .states import DensityMatrix, Ensemble, ensemble_density, product_ensemble
 
 # auto sampling switches to Monte-Carlo above this many sequences
 EXACT_SEQUENCE_THRESHOLD = 4096
+# exact enumeration refuses more sequences (one record each) than this
 EXACT_HARD_LIMIT = 65536
 DEFAULT_MC_SAMPLES = 1024
 
-# element budget for the per-sequence arrays of the fidelity kernel
-MATERIALIZE_ELEMENT_BUDGET = 2 ** 24
 # parents x children of one diagonal block of a traced-route suffix level
 SUFFIX_BLOCK_AREA = 256
 # eps keeps the fewest strings of mass >= 1 - eps - EPS_SLACK, a rounding slack of the cumsum
@@ -131,7 +130,7 @@ def typical_subspace(
     if n < 1:
         raise ValidationError("block length must be >= 1")
     d = rho.dim
-    linalg.check_dim_guard(d ** n)
+    linalg.check_limit(d ** n, "dimension", linalg.MAX_DIM)
     w, vecs = rho._psd_eig
     r = int(np.count_nonzero(w))  # w is descending: the zeros come last
     w, vecs = w[:r], vecs[:, :r]
@@ -275,18 +274,17 @@ def _amplitude_factors(ts: TypicalSubspace, states, anc_dim: int = 1) -> list[np
 
 
 def _sequence_rows(ts: TypicalSubspace, factors, seq) -> np.ndarray:
-    """X[s, r, j] = prod_t E_{c_t}[s_t, r_t, j_t], an m x R x J array.
+    """T[s, r] = prod_t E_{c_t}[s_t, r_t, 0], an m x R array, for factors without ancilla.
 
-    The combined indices r and j put the last position slowest, which keeps
-    the broadcast's inner axis long.  The C-ordered product makes the reshape
-    a view instead of a copy.
+    The combined index r puts the last position slowest, which keeps the
+    broadcast's inner axis long.  The C-ordered product makes the reshape a
+    view instead of a copy.
     """
     s = ts.strings
-    x = np.ones((ts.dim, 1, 1), dtype=np.complex128)
+    x = np.ones((ts.dim, 1), dtype=np.complex128)
     for t, c in enumerate(seq):
-        f = factors[c][s[:, t]]
-        x = np.multiply(f[:, :, None, :, None], x[:, None, :, None, :], order="C")
-        x = x.reshape(ts.dim, x.shape[1] * x.shape[2], x.shape[3] * x.shape[4])
+        f = factors[c][s[:, t], :, 0]
+        x = np.multiply(f[:, :, None], x[:, None, :], order="C").reshape(ts.dim, -1)
     return x
 
 
@@ -325,7 +323,7 @@ def _suffix_tree(ts: TypicalSubspace, factors):
                 cuts.append((p0, p, first[p0], first[p]))
                 p0 = p
         elements += sum((p1 - p0) * (g1 - g0) for p0, p1, g0, g1 in cuts) * sum(map(prod, dims))
-        _check_budget(elements, "traced-route block matrices")
+        linalg.check_limit(elements, "elements of the traced-route block matrices")
         levels.append([])
         for p0, p1, g0, g1 in cuts:
             blocks = [np.zeros((p1 - p0,) + d + (g1 - g0,), dtype=np.complex128) for d in dims]
@@ -362,8 +360,8 @@ def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
         cols *= prod(dims[c])
         sizes.append(levels[t][-1][1] * cols)
     # then the QR's input, its triangle, the GEMM's output and the stack; or the stack
-    _check_budget(sum(sizes) + (n * jl + n * n + 2 * r * j * rp * n if n else cols),
-                  "traced-route array")
+    linalg.check_limit(sum(sizes) + (n * jl + n * n + 2 * r * j * rp * n if n else cols),
+                       "elements of the traced-route arrays")
     w = lc[order]
     for t, c in enumerate(absorbed):
         rj, parents = prod(dims[c]), levels[t][-1][1]
@@ -416,11 +414,6 @@ def _uhlmann(b: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
-def _check_budget(elements: int, what: str) -> None:
-    if elements > MATERIALIZE_ELEMENT_BUDGET:
-        raise DimensionGuardError(f"{what} of {elements} elements exceeds the element budget")
-
-
 def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1):
     """Per-sequence fidelities of JS compression of products of ``states``.
 
@@ -441,11 +434,11 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         # (Q + 1) x Q pre-trace stack; the Cholesky route up to five m x m
         # arrays: the Gram, zpstrf's copy, np.tril's copy and T while
         # factoring, then T, L, conj(L), the pre-trace stack and svd's copy
-        _check_budget((3 * m + q) * (q + 1) if q < m else 5 * m * m,
-                      "rows-route working set" if q < m else "Cholesky-route working set")
         if q < m:
-            t = _sequence_rows(ts, inputs, seq)[:, :, 0]
+            linalg.check_limit((3 * m + q) * (q + 1), "elements of the rows-route working set")
+            t = _sequence_rows(ts, inputs, seq)
         else:
+            linalg.check_limit(5 * m * m, "elements of the Cholesky-route working set")
             t = _gram_factor(_sequence_gram(ts, grams, seq))
         l = np.zeros((m, t.shape[1] + 1), dtype=np.complex128)
         l[:, :-1] = t
@@ -475,17 +468,15 @@ def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
         exact = n_sequences <= EXACT_SEQUENCE_THRESHOLD
     else:
         raise ValidationError(f"unknown sampling mode {sampling!r}")
-    if exact and n_sequences > EXACT_HARD_LIMIT:
-        raise DimensionGuardError(
-            f"{n_sequences} sequences exceed the exact enumeration limit"
-        )
+    if exact:
+        linalg.check_limit(n_sequences, "exactly enumerated sequences", EXACT_HARD_LIMIT)
     return exact
 
 
 def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
     if count < 1:
         raise ValidationError(f"Monte-Carlo sample count must be >= 1, got {count}")
-    _check_budget(count * n, "Monte-Carlo draw array")
+    linalg.check_limit(count * n, "elements of the Monte-Carlo draw array")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.choice(len(probs), size=(count, n), p=probs)
     keys, first, counts = np.unique(draws, axis=0, return_index=True, return_counts=True)
@@ -589,7 +580,6 @@ def extension_protocol(
         raise ValidationError("number of blocks must be >= 1")
     e_blk = product_ensemble(e0, n_block)
     e_ext = extended_ensemble(e_blk, assignment)
-    linalg.check_dim_guard(e_ext.dim ** k)
     ts = typical_subspace(ensemble_density(e_ext), k, eps=eps, dim_cap=dim_cap)
     kernel = _fidelity_kernel(ts, e_ext.states, e_blk.states, assignment.ancilla_dim)
     return _simulate(e_blk.probs, k, kernel, ts, n_block * k, sampling, mc_samples, seed)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from enscomp import bounds, cli, reference
+from enscomp import bounds, cli, reference, states
 from enscomp.errors import EnsembleParseError, ValidationError
 
 
@@ -202,6 +202,17 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # a Monte-Carlo draw array past the element budget is refused before drawing
     assert cli.main(["simulate-js", path, "--n", "2", "--dim-cap", "2", "--sampling", "mc",
                      "--samples", "1000000000000000"]) == 4
+    # ancilla 64 on C^16: the minimizer's start vector alone would be 128 GiB,
+    # and the trivial assignment's parameters 64 GiB per state
+    d16 = states.Ensemble([0.5, 0.5], (states.DensityMatrix(np.eye(16) / 16, (16,)),
+                                       states.DensityMatrix(np.diag(np.arange(1.0, 17.0)) / 136,
+                                                            (16,))))
+    path16 = write_ensemble(tmp_path, d16, "d16.json")
+    capsys.readouterr()
+    assert cli.main(["minimize", path16, "--ancilla-dim", "64", "--multistarts", "1"]) == 4
+    assert cli.main(["simulate-ep", path16, "--trivial", "--ancilla-dim", "64", "--k", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "minimizer working set" in err and "trivial assignment" in err
     # bound violation -> 3 (forced through a monkeypatched report)
     violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0, satisfied=False, slack=-1.0)
     monkeypatch.setattr(cli, "_simulate_reports", lambda e, res: [violated])

@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from enscomp import bounds, extopt, linalg, states
-from enscomp.errors import ValidationError
+from enscomp.errors import DimensionGuardError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
@@ -395,3 +396,111 @@ def test_minimize_matches_scipy_lbfgsb_oracle(monkeypatch):
         assert res.best_entropy <= ref.best_entropy + bounds.ENVELOPE_TOL
         assert res.best_entropy >= states.holevo_quantity(e) - bounds.ENVELOPE_TOL
         assert min(res.history, key=lambda h: h.final_entropy).converged
+
+
+def test_failed_line_search_converges_when_no_decrease_is_predicted():
+    # the line search fails on a flat f whose gradient stays just above
+    # STEP_TOLERANCE; a predicted decrease -g.d of 4e-16 is below what the
+    # relative-decrease rule sees, a predicted 1e-6 is not
+    for g, converged in ((2e-8, True), (1e-3, False)):
+        x, iterations, ok, message = extopt._lbfgs(
+            lambda x: (0.6, np.full(2, g)), np.zeros(2), 50)
+        assert (iterations, ok) == (0, converged)
+        assert ("ENTROPY_TOLERANCE" in message) == converged
+
+
+def test_minimize_start_at_flat_optimum_converges():
+    # |0>/|+> with pure extensions, seed 7: start 4 reaches the optimum
+    # 0.600876037 where its line search fails on a predicted decrease of 4e-16
+    cfg = extopt.OptimizerConfig(seed=7, purifier_dim=1)
+    res = extopt.minimize_extension_entropy(zero_plus_pair(), cfg)
+    assert res.history[4].iterations == 8
+    assert abs(res.history[4].final_entropy - 0.600876037) < 1e-9
+    assert all(h.converged for h in res.history)
+
+
+def _d16_pair():
+    return Ensemble([0.5, 0.5], (DensityMatrix(np.eye(16) / 16, (16,)),
+                                 DensityMatrix(np.diag(np.arange(1.0, 17.0)) / 136, (16,))))
+
+
+def test_minimizer_and_extension_guards_allocate_nothing():
+    # ancilla 64 on C^16: the 2 n^2 N parameters alone are 128 GiB (minimize)
+    # and 64 GiB per state (trivial assignment); both refuse before allocating
+    e = _d16_pair()
+    cfg = extopt.OptimizerConfig(multistarts=1, ancilla_dim=64)
+    for call, what in ((lambda: extopt.minimize_extension_entropy(e, cfg), "minimizer"),
+                       (lambda: extopt.trivial_assignment(e, 64), "trivial assignment")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuardError, match=what):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_extended_ensemble_guard_allocates_nothing(monkeypatch):
+    # pure extensions with ancilla 16 on C^16 hold two 256 x 256 matrices per
+    # state; one element under the count refuses before any is built
+    e = _d16_pair()
+    assignment = extopt.trivial_assignment(e, 16, 1)
+    counts = _guard_counts(monkeypatch)
+    extopt.extended_ensemble(e, assignment)
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", counts["extended ensemble"] - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError, match="extended ensemble"):
+            extopt.extended_ensemble(e, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def _guard_counts(monkeypatch) -> dict:
+    """Records the largest count each element guard checks, by what it counts."""
+    counts = {}
+    check = linalg.check_limit
+
+    def recording(count, what, limit=None):
+        if limit is None:
+            key = what.removeprefix("elements of the ")
+            counts[key] = max(count, counts.get(key, 0))
+        check(count, what, limit)
+
+    monkeypatch.setattr(linalg, "check_limit", recording)
+    return counts
+
+
+@pytest.mark.parametrize("dim, ancilla, purifier, block", [
+    (4, 4, None, 3),  # default purifier: the N n^2 parameter vectors dominate
+    (16, 16, 1, 2),  # pure extensions: the N (da)^2 extension products dominate
+])
+def test_guard_counts_bound_traced_peaks(monkeypatch, dim, ancilla, purifier, block):
+    # each element guard counts at least the complex elements (16 bytes) its
+    # call holds at its traced peak, with a full L-BFGS history, give or take
+    # 16 KiB of Python objects
+    rng = np.random.default_rng(5)
+    e = Ensemble([0.5, 0.5], tuple(rand_density(rng, dim) for _ in range(2)))
+    counts = _guard_counts(monkeypatch)
+    cfg = extopt.OptimizerConfig(multistarts=2, max_iters=15, seed=3, ancilla_dim=ancilla,
+                                 purifier_dim=purifier)
+    assignment = extopt.trivial_assignment(e, ancilla, purifier)
+    calls = {
+        "minimizer working set": lambda: extopt.minimize_extension_entropy(e, cfg),
+        "trivial assignment": lambda: extopt.trivial_assignment(e, ancilla, purifier),
+        "extended ensemble": lambda: extopt.extended_ensemble(e, assignment),
+        "product ensemble": lambda: states.product_ensemble(e, block),
+    }
+    for what, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 16 * counts[what] + 2 ** 14 >= peak, what

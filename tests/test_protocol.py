@@ -302,7 +302,7 @@ def test_mc_draws_count_rows_in_first_draw_order():
 
 def test_mc_draw_budget_guard_allocates_nothing():
     n = 12
-    count = protocol.MATERIALIZE_ELEMENT_BUDGET // n + 1
+    count = linalg.ELEMENT_BUDGET // n + 1
     tracemalloc.start()
     try:
         with pytest.raises(DimensionGuardError):
@@ -320,7 +320,7 @@ def test_cholesky_working_set_guard_allocates_nothing():
     rng = np.random.default_rng(11)
     e = Ensemble([0.5, 0.5], (rand_density(rng, 2), rand_density(rng, 2)))
     ts = protocol.typical_subspace(states.ensemble_density(e), 11, dim_cap=1900)
-    assert ts.dim ** 2 <= protocol.MATERIALIZE_ELEMENT_BUDGET
+    assert ts.dim ** 2 <= linalg.ELEMENT_BUDGET
     kernel = protocol._fidelity_kernel(ts, e.states)
     tracemalloc.start()
     try:
@@ -341,7 +341,7 @@ def test_rows_working_set_guard_allocates_nothing(monkeypatch):
     e = Ensemble([0.5, 0.5], (rand_density(rng, 4, rank=2), rand_density(rng, 4, rank=2)))
     ts = protocol.typical_subspace(states.ensemble_density(e), 9, dim_cap=11000)
     q = 2 ** 9
-    assert q < ts.dim and ts.dim * q <= protocol.MATERIALIZE_ELEMENT_BUDGET
+    assert q < ts.dim and ts.dim * q <= linalg.ELEMENT_BUDGET
     kernel = protocol._fidelity_kernel(ts, e.states)
     tracemalloc.start()
     try:
@@ -485,7 +485,7 @@ def test_kernel_matches_dense_oracle_random_mixed():
 def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes
-    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 20)
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 20)
     e = zero_plus_pair()
     protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")  # rows: (3 x 3 + 1) x 2
     with pytest.raises(DimensionGuardError, match="rows-route working set"):
@@ -493,15 +493,23 @@ def test_fidelity_kernel_element_budget(monkeypatch):
     mixed = orthogonal_pair()
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Cholesky: 5 x 4 x 4
-    triv = extopt.trivial_assignment(mixed, 2, 2)
+    # the extended ensemble (448 elements) is built at the real budget, so the
+    # kernel's own guards are the ones that fire
+    monkeypatch.undo()
+    e_ext = extopt.extended_ensemble(mixed, extopt.trivial_assignment(mixed, 2, 2))
+    ts = protocol.typical_subspace(states.ensemble_density(e_ext), 2, dim_cap=3)
     # the Cholesky set 5 x 3 x 3 and the traced route's block matrices (96
     # elements) fit; its level outputs and stack (44 per column of L) do not
-    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 100)
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 100)
+    kernel = protocol._fidelity_kernel(ts, e_ext.states, mixed.states, 2)
     with pytest.raises(DimensionGuardError, match="traced-route array"):
-        protocol.extension_protocol(mixed, 1, triv, 2, dim_cap=3, sampling="exact")
-    monkeypatch.setattr(protocol, "MATERIALIZE_ELEMENT_BUDGET", 95)
+        kernel((0, 0))
+    with pytest.raises(DimensionGuardError, match="extended ensemble"):
+        protocol.extension_protocol(mixed, 1, extopt.trivial_assignment(mixed, 2, 2), 2,
+                                    dim_cap=3, sampling="exact")
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 95)
     with pytest.raises(DimensionGuardError, match="block matrices"):
-        protocol.extension_protocol(mixed, 1, triv, 2, dim_cap=3, sampling="exact")
+        protocol._fidelity_kernel(ts, e_ext.states, mixed.states, 2)
 
 
 def test_extension_protocol_zero_plus_no_false_alarm():
