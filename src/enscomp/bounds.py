@@ -1,6 +1,5 @@
 """Inequality checkers tying simulation results to proven bounds."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +75,10 @@ def entropy_continuity_check(
 
 
 def ancilla_cap(n: int, dim_q: int) -> int:
-    """Sufficient ancilla dimension: dim_q ** (2 n), clamped at the guard."""
+    """Sufficient ancilla dimension for n-blocks of a dim_q source: dim_q ** (2 n)."""
     if n < 1 or dim_q < 1:
         raise ValueError("block length and dimension must be positive")
-    cap = dim_q ** (2 * n)
-    if cap > linalg.MAX_DIM:
-        warnings.warn(
-            f"ancilla cap {cap} exceeds the dimension guard "
-            f"{linalg.MAX_DIM}; clamping"
-        )
-        return linalg.MAX_DIM
-    return cap
+    return dim_q ** (2 * n)
 
 
 def envelope_check(e: Ensemble, best_entropy: float) -> BoundReport:

@@ -266,16 +266,15 @@ def _optimizer_config(args) -> extopt.OptimizerConfig:
         seed=args.seed,
         ancilla_dim=args.ancilla_dim,
         purifier_dim=1 if args.pure_extensions else args.purifier_dim,
-        n_block=args.n_block,
     )
 
 
 def cmd_minimize(args) -> int:
     e = load_ensemble(args.ensemble)
     cfg = _optimizer_config(args)
-    result = extopt.minimize_extension_entropy(e, cfg)
-    e_eff = states.product_ensemble(e, cfg.n_block)
-    report = bounds.envelope_check(e_eff, result.best_entropy)
+    blocked = states.product_ensemble(e, args.n_block)
+    result = extopt.minimize_extension_entropy(blocked, cfg)
+    report = bounds.envelope_check(blocked, result.best_entropy)
     rows = []
     best_index = min(
         (h.start_index for h in result.history
@@ -336,10 +335,10 @@ def _resolve_assignment(args, e) -> extopt.ExtensionAssignment:
     if args.assignment:
         return load_assignment(args.assignment)
     cfg = _optimizer_config(args)
+    blocked = states.product_ensemble(e, args.n_block)
     if args.trivial:
-        blocked = states.product_ensemble(e, args.n_block)
         return extopt.trivial_assignment(blocked, cfg.ancilla_dim, cfg.purifier_dim)
-    return extopt.minimize_extension_entropy(e, cfg).best_assignment
+    return extopt.minimize_extension_entropy(blocked, cfg).best_assignment
 
 
 def cmd_simulate(args) -> int:

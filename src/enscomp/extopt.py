@@ -32,13 +32,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .errors import BoundViolationError, ValidationError
-from .states import (
-    DensityMatrix,
-    Ensemble,
-    entropy_of_eigenvalues,
-    holevo_quantity,
-    product_ensemble,
-)
+from .states import DensityMatrix, Ensemble, entropy_of_eigenvalues, holevo_quantity
 
 # Full-rank regularization added inside the log for gradient purposes only;
 # reported entropies are always unregularized.
@@ -87,7 +81,6 @@ class OptimizerConfig:
     seed: int = 0
     ancilla_dim: int = 2
     purifier_dim: int | None = None  # None -> system_dim * ancilla_dim
-    n_block: int = 1
 
     def __post_init__(self):
         for name, low in (("multistarts", 1), ("max_iters", 0), ("ancilla_dim", 1),
@@ -194,20 +187,12 @@ def extension_from_params(
 ) -> DensityMatrix:
     """Build rho^ext on system (x) ancilla from isometry parameters.
 
-    Zero parameters give the trivial embedding rho (x) |0><0| (for
-    purifier_dim >= rank); purifier_dim = 1 yields pure extensions.
+    The one-state case of ``extended_ensemble``.  Zero parameters give the
+    trivial embedding rho (x) |0><0| (for purifier_dim >= rank);
+    purifier_dim = 1 yields pure extensions.
     """
-    b = _purification_register(rho, ancilla_dim * purifier_dim)
-    params = np.asarray(params, dtype=float).reshape(-1)
-    n = ancilla_dim * purifier_dim
-    if params.size != 2 * n * n:
-        raise ValidationError(
-            f"params length {params.size}, expected {2 * n * n}"
-        )
-    k, _, _ = _extension_amplitudes(b, params, ancilla_dim, purifier_dim)
-    ext = k @ k.conj().T
-    ext = (ext + ext.conj().T) / 2.0
-    return DensityMatrix(ext, rho.factor_dims + (ancilla_dim,))
+    assignment = ExtensionAssignment(rho.dim, ancilla_dim, purifier_dim, (params,))
+    return extended_ensemble(Ensemble([1.0], (rho,)), assignment).states[0]
 
 
 def trivial_assignment(
@@ -230,16 +215,18 @@ def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
             f"assignment has {len(assignment.params)} param vectors "
             f"for {len(e)} states"
         )
-    # the extensions and their eigenvectors, one more state's worth while one
-    # is built, and the isometry's n x n arrays (3.1 n^2 traced)
-    a, n = assignment.ancilla_dim, assignment.ancilla_dim * assignment.purifier_dim
-    linalg.check_limit(2 * (len(e) + 1) * (e.dim * a) ** 2 + 4 * n * n,
+    # the stacked parameters, generators and their eigenvectors (traced 4.1-5.1
+    # N n^2), then the extensions, their symmetrized copies and eigenvectors
+    # and one more state's worth while one is validated (traced 3.0-3.1 N (da)^2)
+    a, q = assignment.ancilla_dim, assignment.purifier_dim
+    n = a * q
+    linalg.check_limit(6 * len(e) * n * n + 3 * (len(e) + 1) * (e.dim * a) ** 2,
                        "elements of the extended ensemble")
-    exts = tuple(
-        extension_from_params(s, p, assignment.ancilla_dim, assignment.purifier_dim)
-        for s, p in zip(e.states, assignment.params)
-    )
-    return Ensemble(e.probs, exts)
+    k, _, _ = _extension_amplitudes(_registers(e, a, q), np.stack(assignment.params), a, q)
+    ext = k @ k.conj().swapaxes(-1, -2)
+    ext = (ext + ext.conj().swapaxes(-1, -2)) / 2.0
+    dims = e.states[0].factor_dims + (a,)
+    return Ensemble(e.probs, tuple(DensityMatrix(m, dims) for m in ext))
 
 
 def _registers(e: Ensemble, ancilla_dim: int, purifier_dim: int) -> np.ndarray:
@@ -259,6 +246,16 @@ def _avg_extension(
     return (rho + rho.conj().T) / 2.0, (k, u, theta)
 
 
+def _plain_entropy(e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int,
+                   purifier_dim: int, regularization: float = 0.0) -> float:
+    """``assignment_entropy`` of the flat parameters over the registers ``regs``."""
+    rho, _ = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
+    w = np.linalg.eigvalsh(rho)
+    if regularization > 0.0:
+        w = w + regularization / rho.shape[0]
+    return entropy_of_eigenvalues(w)
+
+
 def assignment_entropy(
     e: Ensemble, assignment: ExtensionAssignment, *, regularization: float = 0.0
 ) -> float:
@@ -267,13 +264,9 @@ def assignment_entropy(
     With ``regularization`` eps > 0 the value is S(rho^ext + (eps/dim) I),
     the smooth surrogate the gradient refers to.
     """
-    regs = _registers(e, assignment.ancilla_dim, assignment.purifier_dim)
-    flat = np.concatenate(assignment.params)
-    rho, _ = _avg_extension(e, regs, flat, assignment.ancilla_dim, assignment.purifier_dim)
-    w = np.linalg.eigvalsh(rho)
-    if regularization > 0.0:
-        w = w + regularization / rho.shape[0]
-    return entropy_of_eigenvalues(w)
+    a, q = assignment.ancilla_dim, assignment.purifier_dim
+    return _plain_entropy(e, _registers(e, a, q), np.concatenate(assignment.params), a, q,
+                          regularization)
 
 
 def _entropy_and_gradient(
@@ -394,8 +387,9 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int):
 
 
 def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeResult:
-    """Multistart minimization of S(rho^ext) over extension assignments.
+    """Multistart minimization of S(rho^ext) over extension assignments of ``e``.
 
+    ``e`` is taken as given: for n-signal blocks pass ``product_ensemble(e, n)``.
     Start 0 is always the trivial (zero-parameter) assignment, so the result
     never exceeds S(ensemble density).  Seeded random starts follow; each
     draws its own sub-seed from (seed, start index).  L-BFGS minimizes the
@@ -403,10 +397,8 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     unregularized.  Ties across starts break toward the lowest start index.
     A best start that did not converge is reported with a UserWarning.
     """
-    dim_q = e.dim
-    e = product_ensemble(e, cfg.n_block)
     ancilla_dim = cfg.ancilla_dim
-    cap = bounds.ancilla_cap(cfg.n_block, dim_q)
+    cap = bounds.ancilla_cap(1, e.dim)
     if ancilla_dim > cap:
         warnings.warn(
             f"ancilla_dim {ancilla_dim} exceeds the sufficiency cap {cap}; clamping"
@@ -427,10 +419,6 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     def objective(x):
         return _entropy_and_gradient(e, regs, x, ancilla_dim, purifier_dim)
 
-    def plain_entropy(x):
-        rho, _ = _avg_extension(e, regs, x, ancilla_dim, purifier_dim)
-        return entropy_of_eigenvalues(np.linalg.eigvalsh(rho))
-
     history = []
     best_entropy, best_x, best_idx = np.inf, None, 0
     for idx in range(cfg.multistarts):  # each start is drawn when it runs
@@ -439,8 +427,8 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         x, iterations, converged, message = _lbfgs(objective, x0, cfg.max_iters)
         if not np.all(np.isfinite(x)):
             raise ValidationError(f"optimizer returned non-finite parameters (start {idx})")
-        init_s = plain_entropy(x0)
-        final_s = plain_entropy(x)
+        init_s = _plain_entropy(e, regs, x0, ancilla_dim, purifier_dim)
+        final_s = _plain_entropy(e, regs, x, ancilla_dim, purifier_dim)
         history.append(
             StartRecord(
                 start_index=idx,

@@ -479,9 +479,8 @@ def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, i
     linalg.check_limit(count * n, "elements of the Monte-Carlo draw array")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.choice(len(probs), size=(count, n), p=probs)
-    keys, first, counts = np.unique(draws, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first)  # first-draw order fixes per_sequence and orbit representatives
-    return dict(zip(map(tuple, keys[order].tolist()), counts[order].tolist()))
+    keys, counts = np.unique(draws, axis=0, return_counts=True)  # rows in lexicographic order
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
 
 
 def _simulate(
@@ -510,7 +509,7 @@ def _simulate(
         draws = _mc_draws(probs, length, mc_samples, seed)
     orbits = {}
     records, ext = [], []
-    for s in sorted(draws):
+    for s in draws:  # lexicographic in both modes
         key = tuple(tuple(sorted(s[t] for t in block)) for block in ts.position_blocks)
         if key not in orbits:
             orbits[key] = fidelities(s)

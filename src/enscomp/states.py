@@ -107,7 +107,7 @@ def entropy_of_eigenvalues(evals) -> float:
     w = w[w > ENTROPY_EIG_FLOOR]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log2(w)).sum())
+    return float(-(w * np.log2(w)).sum() + 0.0)  # + 0.0: a pure spectrum gives 0, not -0
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from enscomp import bounds, cli, reference, states
+from enscomp import bounds, cli, linalg, reference, states
 from enscomp.errors import EnsembleParseError, ValidationError
 
 
@@ -79,6 +80,47 @@ def test_analyze_csv_shape(tmp_path, capsys):
     assert lines[header_idx] == "quantity,index,value"
     assert any(l.startswith("# seed=") for l in lines[:header_idx])
     assert any(l.startswith("# tool=enscomp") for l in lines[:header_idx])
+
+
+def test_analyze_prints_pure_entropies_as_zero(tmp_path, capsys):
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    assert cli.main(["analyze", path]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "state_entropy,0,0" in rows  # |0>; |+> reads 3.2e-16, eigh rounding
+    assert not any(row.endswith(",-0") for row in rows)
+
+
+def test_minimize_builds_the_product_source_once(tmp_path, capsys, monkeypatch):
+    # the minimizer and the envelope check share one blocked source
+    builds = []
+    check = linalg.check_limit
+
+    def recording(count, what, limit=None):
+        if what == "elements of the product ensemble":
+            builds.append(count)
+        check(count, what, limit)
+
+    monkeypatch.setattr(linalg, "check_limit", recording)
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    assert cli.main(["minimize", path, "--n-block", "2", "--multistarts", "1",
+                     "--max-iters", "5"]) == 0
+    assert len(builds) == 1
+    assert "entropy_envelope" in capsys.readouterr().out
+
+
+def test_block_minimize_on_a_pure_source_is_silent(tmp_path, capsys):
+    # d^(2n) = 65536 passes MAX_DIM, but the ancilla 2 asked for is far below
+    # it: nothing is clamped, so nothing warns, and the zero entropies print as 0
+    zero = states.Ensemble([1.0], (states.DensityMatrix(np.diag([1.0, 0.0]), (2,)),))
+    path = write_ensemble(tmp_path, zero, "zero.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["minimize", path, "--n-block", "8", "--purifier-dim", "1",
+                         "--multistarts", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "(I_LH=0,S=0,best=0): lhs=0 " in captured.out
+    assert captured.out.endswith("\n0,0,0,0,true,true\n")
+    assert captured.err == ""
 
 
 def test_minimize_and_simulate_ep_pipeline(tmp_path, capsys):

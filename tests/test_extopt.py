@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from enscomp import bounds, extopt, linalg, states
 from enscomp.errors import DimensionGuardError, ValidationError
@@ -76,6 +77,53 @@ def test_extension_capacity_error(rng):
         extopt.extension_from_params(
             rho, np.zeros(extopt.param_count(1, 2)), 1, 2
         )
+
+
+def test_extended_ensemble_builds_every_extension_in_one_call(monkeypatch, rng):
+    e = rand_ensemble(rng, 2, 3)
+    n = 2 * 2
+    assignment = extopt.ExtensionAssignment(2, 2, 2, tuple(rng.normal(size=2 * n * n)
+                                                          for _ in range(3)))
+    calls = []
+    build = extopt._extension_amplitudes
+
+    def recording(b, params, ancilla_dim, purifier_dim):
+        calls.append((b.shape, params.shape))
+        return build(b, params, ancilla_dim, purifier_dim)
+
+    monkeypatch.setattr(extopt, "_extension_amplitudes", recording)
+    ext = extopt.extended_ensemble(e, assignment)
+    assert calls == [((3, 2, 2), (3, 2 * n * n))]
+    assert len(ext) == 3 and ext.states[0].factor_dims == (2, 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(d=st.integers(1, 3), ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n_block=st.integers(1, 2), ancilla=st.integers(1, 3), purifier=st.integers(1, 3),
+       zero_prob=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_extended_ensemble_properties(d, ranks, n_block, ancilla, purifier, zero_prob, seed):
+    # the one builder on blocked sources: every extension reduces to its
+    # signal, the extended ensemble's entropy is the assignment entropy, and
+    # extension_from_params is its one-state case
+    ranks = [min(r, d) for r in ranks]
+    assume(ancilla * purifier >= max(ranks) ** n_block)  # the register holds each support
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0, size=len(ranks))
+    if zero_prob and len(p) > 1:
+        p[0] = 0.0
+    e0 = Ensemble(p / p.sum(), tuple(rand_density(rng, d, rank=r) for r in ranks))
+    e = states.product_ensemble(e0, n_block)
+    n = ancilla * purifier
+    assignment = extopt.ExtensionAssignment(
+        e.dim, ancilla, purifier, tuple(rng.normal(size=2 * n * n) for _ in e.states))
+    ext = extopt.extended_ensemble(e, assignment)
+    for rho, rho_ext, params in zip(e.states, ext.states, assignment.params):
+        assert extopt.verify_extension(rho_ext, rho)
+        one = extopt.extension_from_params(rho, params, ancilla, purifier)
+        assert np.array_equal(one.matrix, rho_ext.matrix)
+        assert one.factor_dims == rho_ext.factor_dims == rho.factor_dims + (ancilla,)
+    s_ext = states.von_neumann_entropy(states.ensemble_density(ext))
+    assert abs(s_ext - extopt.assignment_entropy(e, assignment)) <= 1e-12
 
 
 def test_verify_extension_cases(rng):
@@ -229,9 +277,9 @@ def test_two_block_optimum_per_signal_within_one_block(rng):
         e = rand_ensemble(rng, 2, 2)
         one = extopt.minimize_extension_entropy(e, extopt.OptimizerConfig(
             multistarts=2, seed=1, ancilla_dim=2, purifier_dim=2))
-        two = extopt.minimize_extension_entropy(e, extopt.OptimizerConfig(
-            multistarts=2, max_iters=3000, seed=1, ancilla_dim=4, purifier_dim=4,
-            n_block=2))
+        two = extopt.minimize_extension_entropy(
+            states.product_ensemble(e, 2), extopt.OptimizerConfig(
+                multistarts=2, max_iters=3000, seed=1, ancilla_dim=4, purifier_dim=4))
         assert two.best_entropy / 2 <= one.best_entropy + bounds.ENVELOPE_TOL
 
 
@@ -311,10 +359,10 @@ def test_minimize_warns_when_best_start_stops_early():
     # stands, with a UserWarning naming the start and the iteration cap
     e = rand_ensemble(np.random.default_rng(2024), 2, 2)
     cfg = extopt.OptimizerConfig(multistarts=2, max_iters=5, seed=3, ancilla_dim=2,
-                                 purifier_dim=2, n_block=2)
+                                 purifier_dim=2)
     with pytest.warns(UserWarning, match=r"best start \d did not converge in 5 iterations "
                                          r"\(max_iters 5"):
-        res = extopt.minimize_extension_entropy(e, cfg)
+        res = extopt.minimize_extension_entropy(states.product_ensemble(e, 2), cfg)
     assert not any(h.converged for h in res.history)
     assert all(h.iterations == 5 for h in res.history)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from enscomp import linalg
 from enscomp.fidelity import (
@@ -65,6 +66,19 @@ def test_fidelity_symmetric_unitary_invariant(rng):
         ua = DensityMatrix(u @ a.matrix @ u.conj().T, (d,))
         ub = DensityMatrix(u @ b.matrix @ u.conj().T, (d,))
         assert abs(fidelity(ua, ub) - fidelity(a, b)) < 1e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(d=st.integers(1, 4), rank_a=st.integers(1, 4), rank_b=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fidelity_properties_on_rank_deficient_states(d, rank_a, rank_b, seed):
+    rng = np.random.default_rng(seed)
+    a = rand_rank_density(rng, d, min(rank_a, d))[0]
+    b = rand_rank_density(rng, d, min(rank_b, d))[0]
+    f = fidelity(a, b)
+    assert 0.0 <= f <= 1.0
+    assert abs(f - fidelity(b, a)) <= 1e-12
+    assert abs(fidelity(a, a) - 1.0) <= 1e-12
 
 
 def test_fidelity_pure_state_identity(rng):

@@ -288,7 +288,7 @@ def test_js_protocol_fidelity_monotone_in_subspace_size():
     assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:]))
 
 
-def test_mc_draws_count_rows_in_first_draw_order():
+def test_mc_draws_count_rows_in_lexicographic_order():
     probs = np.array([0.5, 0.3, 0.2])
     counts = protocol._mc_draws(probs, 4, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
@@ -296,7 +296,8 @@ def test_mc_draws_count_rows_in_first_draw_order():
     for row in rng.choice(3, size=(500, 4), p=probs):
         key = tuple(int(x) for x in row)
         expect[key] = expect.get(key, 0) + 1
-    assert list(counts.items()) == list(expect.items())
+    assert counts == expect
+    assert list(counts) == sorted(counts)  # the order _simulate walks
     assert all(type(c) is int for key in counts for c in key + (counts[key],))
 
 

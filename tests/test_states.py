@@ -116,6 +116,15 @@ def test_von_neumann_entropy_values(rng):
     assert abs(got - 0.468996) < 1e-6
 
 
+def test_pure_entropy_is_positive_zero():
+    # -(1 log2 1) is -0.0, which the CLI used to print as "-0"
+    for spectrum in ([1.0, 0.0], [1.0], [1.0, 1e-13]):
+        s = states.entropy_of_eigenvalues(spectrum)
+        assert s == 0.0 and np.copysign(1.0, s) == 1.0
+    assert np.copysign(1.0, states.von_neumann_entropy(DensityMatrix(np.diag([1.0, 0.0]),
+                                                                     (2,)))) == 1.0
+
+
 def test_entropy_additive_on_products(rng):
     rho = rand_density(rng, 2)
     sig = rand_density(rng, 3)
