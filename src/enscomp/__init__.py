@@ -41,10 +41,8 @@ from .fidelity import (
     optimal_purification,
 )
 from .linalg import (
-    EigDecomposition,
     hermitian_eig,
     partial_trace,
-    psd_sqrt,
     singular_values,
     tensor_product,
     trace_norm,

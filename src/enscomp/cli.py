@@ -67,6 +67,18 @@ def _fmt(x) -> str:
 # ensemble file I/O
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise EnsembleParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise EnsembleParseError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def load_ensemble(path: str) -> states.Ensemble:
     """Load and validate an ensemble JSON file.
 
@@ -74,15 +86,7 @@ def load_ensemble(path: str) -> states.Ensemble:
     deviations are rejected.  State validation failures name the offending
     state index.
     """
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise EnsembleParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise EnsembleParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise EnsembleParseError(f"{path}: top level must be a JSON object")
     for key in ("probs", "states", "factor_dims"):
@@ -164,13 +168,7 @@ def assignment_from_payload(payload: dict) -> extopt.ExtensionAssignment:
 
 
 def load_assignment(path: str) -> extopt.ExtensionAssignment:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise EnsembleParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise EnsembleParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    payload = _read_json(path)
     # accept both a bare assignment and the minimize-run sidecar wrapper
     if isinstance(payload, dict) and "assignment" in payload:
         payload = payload["assignment"]
@@ -396,8 +394,9 @@ def _add_common(p):
 
 def _add_optimizer_flags(p):
     p.add_argument("--ancilla-dim", type=int, default=2)
-    p.add_argument("--purifier-dim", type=int, default=None)
-    p.add_argument(
+    purifier = p.add_mutually_exclusive_group()
+    purifier.add_argument("--purifier-dim", type=int, default=None)
+    purifier.add_argument(
         "--pure-extensions", action="store_true",
         help="restrict to pure extensions (purifier dim 1)",
     )

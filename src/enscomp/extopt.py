@@ -32,7 +32,8 @@ import numpy as np
 
 from . import bounds, linalg
 from .errors import BoundViolationError, ValidationError
-from .states import DensityMatrix, Ensemble, entropy_of_eigenvalues, holevo_quantity
+from .states import (DensityMatrix, Ensemble, _system_factors, entropy_of_eigenvalues,
+                     holevo_quantity)
 
 # Full-rank regularization added inside the log for gradient purposes only;
 # reported entropies are always unregularized.
@@ -303,14 +304,8 @@ def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray
 
 def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionCheck:
     """Check Tr_anc(rho_ext) = rho to ``linalg.ATOL`` in trace norm."""
-    n_sys = len(rho.factor_dims)
-    if rho_ext.factor_dims[:n_sys] != rho.factor_dims:
-        raise ValidationError(
-            f"extension factor dims {rho_ext.factor_dims} do not start "
-            f"with system dims {rho.factor_dims}"
-        )
     reduced = linalg.partial_trace(
-        rho_ext.matrix, rho_ext.factor_dims, range(n_sys)
+        rho_ext.matrix, rho_ext.factor_dims, _system_factors(rho_ext, rho)
     )
     defect = linalg.trace_norm(reduced - rho.matrix)
     return ExtensionCheck(defect <= linalg.ATOL, float(defect))

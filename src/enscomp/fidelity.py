@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .states import DensityMatrix
+from .states import DensityMatrix, _system_factors
 
 NORM_ATOL = 1e-10
 
@@ -48,9 +48,8 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def density(self, factor_dims=None) -> DensityMatrix:
-        dims = self.factor_dims if factor_dims is None else tuple(factor_dims)
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), dims)
+    def density(self) -> DensityMatrix:
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.factor_dims)
 
 
 def _fix_global_phase(vec: np.ndarray) -> np.ndarray:
@@ -118,16 +117,12 @@ def optimal_purification(rho: DensityMatrix, phi_prime: PureState) -> PureState:
     return PureState(vec, rho.factor_dims + (r,))
 
 
-def lemma_extension(
-    rho: DensityMatrix,
-    rho_prime_ext: DensityMatrix,
-    system_dims,
-    ancilla_dims,
-) -> DensityMatrix:
+def lemma_extension(rho: DensityMatrix, rho_prime_ext: DensityMatrix) -> DensityMatrix:
     """Extension of ``rho`` matching the fidelity of the given extension.
 
     Given rho on the system space and rho_prime_ext on system (x) ancilla,
-    returns rho_ext on system (x) ancilla with
+    whose factor dims start with those of rho, returns rho_ext with the
+    factor dims of rho_prime_ext and
 
     * Tr_anc(rho_ext) = rho, and
     * F(rho_ext, rho_prime_ext) = F(rho, Tr_anc(rho_prime_ext)).
@@ -136,22 +131,7 @@ def lemma_extension(
     Tr_anc(rho_prime_ext) with purifier ancilla (x) purifier, take the
     Uhlmann-optimal purification of rho against it, trace the purifier.
     """
-    system_dims = tuple(int(d) for d in system_dims)
-    ancilla_dims = tuple(int(d) for d in ancilla_dims)
-    d_sys = int(np.prod(system_dims))
-    d_anc = int(np.prod(ancilla_dims))
-    if rho.dim != d_sys:
-        raise ValidationError(f"rho dim {rho.dim} != system dims product {d_sys}")
-    if rho_prime_ext.dim != d_sys * d_anc:
-        raise ValidationError(
-            f"extension dim {rho_prime_ext.dim} != system*ancilla {d_sys * d_anc}"
-        )
-    phi_prime = canonical_purification(rho_prime_ext)
-    # same vector, re-grouped as (system) x (ancilla * purifier)
-    phi_prime_grouped = PureState(
-        phi_prime.amplitudes, (d_sys, d_anc * rho_prime_ext.dim)
-    )
-    phi = optimal_purification(rho, phi_prime_grouped)
-    amps = phi.amplitudes.reshape(d_sys * d_anc, rho_prime_ext.dim)
-    ext = amps @ amps.conj().T
-    return DensityMatrix(ext, system_dims + ancilla_dims)
+    _system_factors(rho_prime_ext, rho)
+    phi = optimal_purification(rho, canonical_purification(rho_prime_ext))
+    amps = phi.amplitudes.reshape(rho_prime_ext.dim, rho_prime_ext.dim)
+    return DensityMatrix(amps @ amps.conj().T, rho_prime_ext.factor_dims)

@@ -7,8 +7,6 @@ Conventions used throughout the package:
 * matrices are plain complex ``np.ndarray`` values and are never mutated.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionGuardError, ValidationError
@@ -29,17 +27,6 @@ ATOL = 1e-9
 # PSD violation, and eigenvalues at or below RANK_RTOL times the largest are
 # eigh noise and are zeroed, so they never reach a sqrt.
 RANK_RTOL = 1e-14
-
-
-class EigDecomposition(NamedTuple):
-    """Hermitian eigendecomposition with eigenvalues sorted descending.
-
-    ``eigenvectors`` holds the eigenvectors as columns, so
-    ``V @ diag(w) @ V.conj().T`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def check_limit(count: int, what: str, limit: int | None = None) -> None:
@@ -118,8 +105,12 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return res.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eig(h) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of a Hermitian matrix, w descending.
+
+    The columns of ``v`` are the eigenvectors, so ``(v * w) @ v.conj().T``
+    reconstructs the input.
+    """
     h = _as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
@@ -130,7 +121,7 @@ def hermitian_eig(h) -> EigDecomposition:
         )
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
-    return EigDecomposition(w[order].astype(float), v[:, order])
+    return w[order].astype(float), v[:, order]
 
 
 def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +132,7 @@ def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
     sqrt() would inflate eigh noise of order 1e-17 into spurious directions
     of weight 3e-9 that pollute trace norms and purifications downstream.
     """
-    dec = hermitian_eig(p)
-    w = dec.eigenvalues
+    w, v = hermitian_eig(p)
     if w.size and w[-1] < -ATOL:
         raise ValidationError(
             f"matrix is not PSD (min eigenvalue {w[-1]:.3e} < -{ATOL:.0e})"
@@ -150,15 +140,11 @@ def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
     w = np.clip(w, 0.0, None)
     if w.size:
         w[w <= w[0] * RANK_RTOL] = 0.0
-    return w, dec.eigenvectors
-
-
-def psd_sqrt(p) -> np.ndarray:
-    """Hermitian PSD square root under the spectral policy of ``psd_eig``."""
-    return _sqrt_of(*psd_eig(p))
+    return w, v
 
 
 def _sqrt_of(w, v) -> np.ndarray:
+    """Hermitian square root of p from the eigenpairs ``psd_eig(p)``."""
     return (v * np.sqrt(w)) @ v.conj().T
 
 

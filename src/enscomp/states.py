@@ -58,6 +58,21 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _system_factors(rho_ext: DensityMatrix, rho: DensityMatrix) -> range:
+    """Indices of the system factors of an extension of ``rho``.
+
+    The extension's factor dims must start with those of ``rho``; the rest
+    are its ancilla factors.
+    """
+    n_sys = len(rho.factor_dims)
+    if rho_ext.factor_dims[:n_sys] != rho.factor_dims:
+        raise ValidationError(
+            f"extension factor dims {rho_ext.factor_dims} do not start "
+            f"with system dims {rho.factor_dims}"
+        )
+    return range(n_sys)
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Probability vector paired with equal-dimension density matrices."""
@@ -105,9 +120,9 @@ def ensemble_density(e: Ensemble) -> DensityMatrix:
 def entropy_of_eigenvalues(evals) -> float:
     w = np.asarray(evals, dtype=float)
     w = w[w > ENTROPY_EIG_FLOOR]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log2(w)).sum() + 0.0)  # + 0.0: a pure spectrum gives 0, not -0
+    # a pure spectrum rounded above 1 would give a tiny negative sum, and an
+    # empty one -0.0: both report as 0.0
+    return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -7,6 +7,8 @@ is the loop-and-sort reference for the string order of ``typical_subspace``,
 ``position_blocks`` the brute-force reference for its symmetry blocks,
 ``sequence_gram`` the ``np.ix_`` reference for the kernel's Gram gather, and
 ``traced_stack`` the rows-array reference for the kernel's traced stack.
+``psd_sqrt`` is the dense square root that ``traced_output`` and
+``ep_traced_fidelity`` take.
 ``expm_frechet_gradient`` is the minimizer's objective and gradient by
 scipy's Pade ``expm`` and ``expm_frechet``, one state at a time, and
 ``lbfgsb`` runs one minimizer start by scipy's L-BFGS-B.
@@ -169,13 +171,18 @@ def js_compress_sequence(seq: DensityMatrix, ts) -> DensityMatrix:
     return DensityMatrix(out, seq.factor_dims)
 
 
+def psd_sqrt(p) -> np.ndarray:
+    """Hermitian PSD square root under the spectral policy of ``linalg.psd_eig``."""
+    return linalg._sqrt_of(*linalg.psd_eig(p))
+
+
 def traced_output(ts, y: np.ndarray, block_dim: int, anc_dim: int) -> np.ndarray:
     """All ancilla factors traced out of V Y V^dag, as B B^dag.
 
     B regroups the columns of V sqrt(Y) into (system^k) x (ancilla^k * m).
     """
     k = ts.block_length
-    a = basis(ts) @ linalg.psd_sqrt(y)
+    a = basis(ts) @ psd_sqrt(y)
     tensor = a.reshape((block_dim, anc_dim) * k + (ts.dim,))
     axes = tuple(range(0, 2 * k, 2)) + tuple(range(1, 2 * k, 2)) + (2 * k,)
     b = tensor.transpose(axes).reshape(block_dim ** k, -1)
@@ -190,8 +197,8 @@ def ep_traced_fidelity(ts, ext_states, block_states, anc_dim: int, seq) -> float
     """
     ext = linalg.kron_all([ext_states[c].matrix for c in seq])
     omega = traced_output(ts, compressed_y(ext, ts), block_states[0].dim, anc_dim)
-    sqrt_orig = linalg.kron_all([linalg.psd_sqrt(block_states[c].matrix) for c in seq])
-    sv = linalg.singular_values(sqrt_orig @ linalg.psd_sqrt(omega))
+    sqrt_orig = linalg.kron_all([psd_sqrt(block_states[c].matrix) for c in seq])
+    sv = linalg.singular_values(sqrt_orig @ psd_sqrt(omega))
     return min(float(np.sum(sv) ** 2), 1.0)
 
 

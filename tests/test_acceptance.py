@@ -70,7 +70,7 @@ def test_criterion_02_uhlmann_lemma_suite():
 
         rho_s = rand_density(rng, 2)
         rpe = rand_density(rng, 4, dims=(2, 2))
-        ext = lemma_extension(rho_s, rpe, (2,), (2,))
+        ext = lemma_extension(rho_s, rpe)
         red = linalg.partial_trace(ext.matrix, (2, 2), {0})
         ok &= linalg.trace_norm(red - rho_s.matrix) <= 1e-9
         rho_p = DensityMatrix(linalg.partial_trace(rpe.matrix, (2, 2), {0}), (2,))

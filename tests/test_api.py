@@ -13,7 +13,6 @@ PUBLIC_NAMES = (
     "BoundViolationError",
     "DensityMatrix",
     "DimensionGuardError",
-    "EigDecomposition",
     "EnscompError",
     "Ensemble",
     "EnsembleParseError",
@@ -45,7 +44,6 @@ PUBLIC_NAMES = (
     "optimal_purification",
     "partial_trace",
     "product_ensemble",
-    "psd_sqrt",
     "rate_of",
     "singular_values",
     "support_dim",

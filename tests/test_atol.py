@@ -16,6 +16,8 @@ from enscomp import bounds, cli, extopt, linalg, protocol, reference
 from enscomp.errors import BoundViolationError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
+import dense_oracle
+
 
 def density_trace(delta, tmp_path):
     DensityMatrix(np.diag([0.5, 0.5 + delta]), (2,))
@@ -30,8 +32,9 @@ def density_negative_eigenvalue(delta, tmp_path):
 
 
 def psd_sqrt_clip(delta, tmp_path):
-    # accepted rounding is clipped to an exact zero
-    return np.array_equal(linalg.psd_sqrt(np.diag([1.0, -delta])), np.diag([1.0, 0.0]))
+    # accepted rounding is clipped to an exact zero by psd_eig, which the
+    # dense oracle's square root applies
+    return np.array_equal(dense_oracle.psd_sqrt(np.diag([1.0, -delta])), np.diag([1.0, 0.0]))
 
 
 def loader_probability_sum(delta, tmp_path):

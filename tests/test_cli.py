@@ -335,6 +335,32 @@ def test_malformed_assignment_is_a_parse_error(tmp_path, capsys, field, value):
     assert "enscomp: parse error" in capsys.readouterr().err
 
 
+def test_invalid_json_names_line_and_column(tmp_path, capsys):
+    # an ensemble file and an assignment file report broken JSON alike
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "system_dim": 2,\n  "ancilla_dim": \n}\n')
+    for load in (cli.load_ensemble, cli.load_assignment):
+        with pytest.raises(EnsembleParseError, match="invalid JSON at line 4 column 1"):
+            load(str(bad))
+    path = write_ensemble(tmp_path, reference.orthogonal_pair())
+    assert cli.main(["simulate-ep", path, "--k", "1", "--eps", "0.1",
+                     "--assignment", str(bad)]) == 1
+    assert "line 4 column 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["minimize"], ["simulate-ep", "--k", "1", "--eps", "0.1"],
+    ["sweep", "--protocol", "ep", "--values", "1", "--eps", "0.1"],
+])
+def test_pure_extensions_excludes_purifier_dim(tmp_path, capsys, command):
+    # --pure-extensions means purifier dim 1, so naming another is a usage error
+    path = write_ensemble(tmp_path, reference.orthogonal_pair())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command[0], path, *command[1:], "--pure-extensions", "--purifier-dim", "3"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_sweep_bad_values_is_a_usage_error(tmp_path, capsys):
     path = write_ensemble(tmp_path, reference.zero_plus_pair())
     with pytest.raises(SystemExit) as exc:

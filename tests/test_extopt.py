@@ -167,6 +167,38 @@ def test_assignment_entropy_known_value():
     assert abs(extopt.assignment_entropy(e, triv) - expect) < 1e-9
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(d=st.integers(1, 3), ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       ancilla=st.integers(1, 3), purifier=st.integers(1, 3), zero_prob=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assignment_entropy_is_at_least_holevo(d, ranks, ancilla, purifier, zero_prob, seed):
+    # S(sum_i p_i rho_i^ext) >= chi(extensions) >= chi(signals): the Holevo
+    # quantity cannot grow under the partial trace over the ancilla
+    ranks = [min(r, d) for r in ranks]
+    assume(ancilla * purifier >= max(ranks))  # the register holds each support
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0, size=len(ranks))
+    if zero_prob and len(p) > 1:
+        p[0] = 0.0
+    e = Ensemble(p / p.sum(), tuple(rand_rank_density(rng, d, r)[0] for r in ranks))
+    n = ancilla * purifier
+    assignment = extopt.ExtensionAssignment(
+        d, ancilla, purifier, tuple(rng.normal(scale=2.0, size=2 * n * n) for _ in e.states))
+    chi = states.holevo_quantity(e)
+    chi_ext = states.holevo_quantity(extopt.extended_ensemble(e, assignment))
+    assert chi_ext >= chi - bounds.ENVELOPE_TOL
+    assert extopt.assignment_entropy(e, assignment) >= chi_ext - bounds.ENVELOPE_TOL
+
+
+def test_minimize_never_reports_a_negative_entropy():
+    # every pure extension of |0> has entropy 0, though rounding can lift the
+    # top eigenvalue of a start's spectrum above 1
+    e = Ensemble([1.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),))
+    res = extopt.minimize_extension_entropy(e, extopt.OptimizerConfig(seed=7, purifier_dim=1))
+    assert all(h.initial_entropy >= 0.0 and h.final_entropy >= 0.0 for h in res.history)
+    assert res.best_entropy == 0.0 and np.copysign(1.0, res.best_entropy) == 1.0
+
+
 def test_gradient_matches_central_differences(rng):
     e = rand_ensemble(rng, 2, 2)
     a_dim, q_dim = 2, 2

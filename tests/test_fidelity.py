@@ -206,7 +206,7 @@ def test_purifications_vanish_on_the_kernel(rng):
         amps = canonical_purification(rho).amplitudes.reshape(d, d)
         assert np.abs(ker.conj().T @ amps).max() < 1e-12
         rpe = rand_density(rng, 2 * d, dims=(d, 2))
-        ext = lemma_extension(rho, rpe, (d,), (2,))
+        ext = lemma_extension(rho, rpe)
         assert np.abs(np.kron(ker, np.eye(2)).conj().T @ ext.matrix).max() < 1e-12
 
 
@@ -220,14 +220,14 @@ def test_optimal_purification_purifier_too_small(rng):
 def test_lemma_extension_identity_case(rng):
     rpe = rand_density(rng, 4, dims=(2, 2))
     rho = DensityMatrix(linalg.partial_trace(rpe.matrix, (2, 2), {0}), (2,))
-    ext = lemma_extension(rho, rpe, (2,), (2,))
+    ext = lemma_extension(rho, rpe)
     assert abs(fidelity(ext, rpe) - 1.0) < 1e-8
 
 
 def test_lemma_extension_pure_system_factorizes(rng):
     psi = rand_pure_density(rng, 2)
     rpe = rand_density(rng, 4, dims=(2, 2))
-    ext = lemma_extension(psi, rpe, (2,), (2,))
+    ext = lemma_extension(psi, rpe)
     anc = linalg.partial_trace(ext.matrix, (2, 2), {1})
     assert np.abs(ext.matrix - linalg.tensor_product(psi.matrix, anc)).max() < 1e-8
     rho_prime = DensityMatrix(linalg.partial_trace(rpe.matrix, (2, 2), {0}), (2,))
@@ -238,8 +238,23 @@ def test_lemma_extension_random_instances(rng):
     for _ in range(100):
         rho = rand_density(rng, 2)
         rpe = rand_density(rng, 4, dims=(2, 2))
-        ext = lemma_extension(rho, rpe, (2,), (2,))
+        ext = lemma_extension(rho, rpe)
         red = linalg.partial_trace(ext.matrix, (2, 2), {0})
         assert linalg.trace_norm(red - rho.matrix) <= 1e-9
         rho_prime = DensityMatrix(linalg.partial_trace(rpe.matrix, (2, 2), {0}), (2,))
         assert abs(fidelity(ext, rpe) - fidelity(rho, rho_prime)) < 1e-8
+
+
+def test_lemma_extension_reads_dims_from_its_states(rng):
+    # the system dims are rho's, the ancilla dims the rest of the extension's
+    rho = rand_density(rng, 4, dims=(2, 2))
+    rpe = rand_density(rng, 12, dims=(2, 2, 3))
+    ext = lemma_extension(rho, rpe)
+    assert ext.factor_dims == (2, 2, 3)
+    assert linalg.trace_norm(linalg.partial_trace(ext.matrix, (2, 2, 3), {0, 1})
+                             - rho.matrix) <= 1e-9
+    # an extension whose dims do not start with the system's is refused
+    with pytest.raises(ValidationError, match="do not start with system dims"):
+        lemma_extension(rho, rand_density(rng, 12, dims=(4, 3)))
+    with pytest.raises(ValidationError, match="do not start with system dims"):
+        lemma_extension(rand_density(rng, 3), rpe)

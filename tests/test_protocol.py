@@ -433,6 +433,32 @@ def test_protocol_result_invariants(rng):
     assert abs(sum(r.probability for r in res.per_sequence) - 1.0) < 1e-10
 
 
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(ranks=st.lists(st.integers(1, 2), min_size=1, max_size=2), n=st.integers(1, 4),
+       n_block=st.integers(1, 2), k=st.integers(1, 2), anc_dim=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_rate_is_log2_dim_per_signal(ranks, n, n_block, k, anc_dim, seed, data):
+    # JS and EP runs, caps below, at and above r^n, and eps targets down to 0
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.1, 1.0, size=len(ranks))
+    e = Ensemble(p / p.sum(), tuple(rand_density(rng, 2, rank=r) for r in ranks))
+    e_blk = states.product_ensemble(e, n_block)
+    assignment = extopt.trivial_assignment(e_blk, anc_dim)
+    runs = (
+        (lambda **t: protocol.js_protocol(e, n, sampling="exact", **t),
+         states.ensemble_density(e), n, n),
+        (lambda **t: protocol.extension_protocol(e, n_block, assignment, k, sampling="exact", **t),
+         states.ensemble_density(extopt.extended_ensemble(e_blk, assignment)), k, n_block * k),
+    )
+    for run, rho, length, signals in runs:
+        full = len(protocol.typical_subspace(rho, length, eps=0.0).source_eigenvalues) ** length
+        cap = data.draw(st.integers(1, full + 2))
+        for res in (run(dim_cap=cap), run(eps=data.draw(st.sampled_from([0.0, 0.01, 0.2])))):
+            assert res.block_length == signals
+            assert res.rate == np.log2(res.channel_dim) / signals
+        assert run(dim_cap=cap).channel_dim == min(cap, full)
+
+
 def _random_mixed_ensemble(rng, count):
     ranks = rng.integers(1, 3, size=count)
     p = rng.uniform(0.1, 1.0, size=count)
