@@ -14,9 +14,11 @@ F = ||stack_j L^dag X_j||_1^2 for Y = L L^dag and a target sigma = A A^dag
 seen through X_j = V^dag (A (x) |j>), j running over the traced ancilla
 basis.  X factors position by position like the typical strings.  Every
 sequence gets one factor T with T T^dag = V^dag sigma V: the input rows
-V^dag A when the input rank product Q is below m, else the pivoted Cholesky
-factor of the Gram product.  Y = L L^dag for L = [T, sqrt(delta) e_0], delta
-= 1 - ||T||_F^2 the junk mass, and the pre-trace F is ||L^dag T||_1^2.
+V^dag A when the input rank product Q is below m, else a Cholesky factor of
+the Gram product, numpy's when its pivots pass a sqrt(u) gate and LAPACK's
+pivoted one when the Gram is singular or nearly so.  Y = L L^dag for L =
+[T, sqrt(delta) e_0], delta = 1 - ||T||_F^2 the junk mass, and the
+pre-trace F is ||L^dag T||_1^2.
 
 The traced stack never builds X.  The kept strings that share a suffix
 s[t:] form a group, and the stack starts from conj(L), one row per string,
@@ -53,6 +55,9 @@ DEFAULT_MC_SAMPLES = 1024
 SUFFIX_BLOCK_AREA = 256
 # eps keeps the fewest strings of mass >= 1 - eps - EPS_SLACK, a rounding slack of the cumsum
 EPS_SLACK = 1e-15
+# a Gram takes its unpivoted Cholesky factor when every pivot c_kk^2 exceeds this
+# times max_k g_kk: sqrt(u), u the unit roundoff; else pivoted zpstrf
+CHOLESKY_PIVOT_RTOL = float(np.sqrt(np.finfo(np.float64).eps / 2))
 
 
 @dataclass(frozen=True)
@@ -244,12 +249,23 @@ def _lapack(routine: str, *args, **kwargs) -> list:
 
 
 def _gram_factor(g: np.ndarray) -> np.ndarray:
-    """T with T T^dag = g by pivoted Cholesky, so no sqrt of rounding noise enters.
+    """T with T T^dag = g by Cholesky, so no sqrt of rounding noise enters.
 
-    zpstrf stops once every remaining pivot is <= m * u * max_k g_kk (u the unit
-    roundoff), the kernel's one rank tolerance; the dropped PSD Schur complement,
-    of trace <= m^2 * u * max_k g_kk (5e-12 at m = 222), moves into the junk mass.
+    numpy's unpivoted Cholesky factor is T when every pivot c_kk^2 exceeds
+    CHOLESKY_PIVOT_RTOL * max_k g_kk.  Otherwise (g singular or nearly so)
+    LAPACK's pivoted zpstrf stops once every remaining pivot is <= m * u *
+    max_k g_kk, the kernel's one rank tolerance; the dropped PSD Schur
+    complement, of trace <= m^2 * u * max_k g_kk (5e-12 at m = 222), moves
+    into the junk mass.  The unpivoted factor cannot use that tolerance: it
+    keeps the noise pivots of a semidefinite g as columns of T (Higham, 1990).
     """
+    try:
+        c = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:  # a pivot was not positive
+        pass
+    else:
+        if c.diagonal().real.min() ** 2 > CHOLESKY_PIVOT_RTOL * g.diagonal().real.max():
+            return c
     c, piv, rank = _lapack("zpstrf", g, lower=1)
     return np.tril(c[:, :rank])[np.argsort(piv)]
 
@@ -432,8 +448,9 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         q = prod(inputs[c].shape[1] for c in seq)
         # the rows route holds T, L and conj(L) (m x (Q + 1) each) and the
         # (Q + 1) x Q pre-trace stack; the Cholesky route up to five m x m
-        # arrays: the Gram, zpstrf's copy, np.tril's copy and T while
-        # factoring, then T, L, conj(L), the pre-trace stack and svd's copy
+        # arrays: the Gram and up to three more while factoring (a rejected
+        # numpy factor and zpstrf's copy, then np.tril's copy and T), then
+        # T, L, conj(L), the pre-trace stack and svd's copy
         if q < m:
             linalg.check_limit((3 * m + q) * (q + 1), "elements of the rows-route working set")
             t = _sequence_rows(ts, inputs, seq)

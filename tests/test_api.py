@@ -69,7 +69,8 @@ def _run_without_scipy(code: str) -> None:
     """Run ``code`` in a fresh interpreter; it must leave no scipy module loaded.
 
     scipy.linalg more than doubles the package's import time, so only the
-    fidelity kernel's Cholesky and traced routes load it.
+    fidelity kernel's rank-deficient or ill-conditioned Grams (zpstrf) and
+    its traced route (zgeqrf) load it.
     """
     src = pathlib.Path(enscomp.__file__).resolve().parent.parent
     check = (
@@ -118,5 +119,20 @@ def test_rows_route_simulation_leaves_scipy_unloaded(tmp_path):
         "import sys, enscomp.cli; "
         f"assert enscomp.cli.main(['simulate-js', {_zero_plus_file(tmp_path)!r}, '--n', '4', "
         f"'--dim-cap', '9', '--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text().count("\n") > 1
+
+
+def test_full_rank_gram_simulation_leaves_scipy_unloaded(tmp_path):
+    # a mixed signal takes the Gram route (Q = 2^n >= m), and its
+    # well-conditioned Grams take numpy's Cholesky factor
+    from enscomp import cli, reference
+
+    src, out = tmp_path / "biased.json", tmp_path / "out.csv"
+    cli.save_ensemble(reference.biased_qubit(), str(src))
+    _run_without_scipy(
+        "import sys, enscomp.cli; "
+        f"assert enscomp.cli.main(['simulate-js', {str(src)!r}, '--n', '10', "
+        f"'--dim-cap', '56', '--out', {str(out)!r}]) == 0"
     )
     assert out.read_text().count("\n") > 1

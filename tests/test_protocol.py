@@ -632,6 +632,63 @@ def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
     assert calls == ["zgeqrf"]
 
 
+def _kernel_gram(e: Ensemble, length: int, seq, **target) -> np.ndarray:
+    """The kernel's Gram V^dag sigma V for the sequence ``seq`` of ``e``'s states."""
+    ts = protocol.typical_subspace(states.ensemble_density(e), length, **target)
+    return protocol._sequence_gram(ts, protocol._subspace_grams(ts, e.states), seq)
+
+
+def _full_rank_gram():
+    rng = np.random.default_rng(8)
+    pair = Ensemble([0.6, 0.4], (rand_density(rng, 2), rand_density(rng, 2)))
+    return _kernel_gram(pair, 4, (0, 1, 1, 0), dim_cap=11)
+
+
+def _noise_pivot_gram():
+    # test_rate_is_log2_dim_per_signal's example ranks=[1, 2], n=1, n_block=2,
+    # k=2, anc_dim=1, seed=2965: a rank-4 Gram of order 5 whose unpivoted
+    # factor keeps a noise pivot c^2 ~ 1e-15 max_k g_kk, above zpstrf's 5 u
+    rng = np.random.default_rng(2965)
+    p = rng.uniform(0.1, 1.0, size=2)
+    e = Ensemble(p / p.sum(), tuple(rand_density(rng, 2, rank=r) for r in (1, 2)))
+    e_blk = states.product_ensemble(e, 2)
+    e_ext = extopt.extended_ensemble(e_blk, extopt.trivial_assignment(e_blk, 1))
+    g = _kernel_gram(e_ext, 2, (2, 3), eps=0.2)
+    pivot = np.linalg.cholesky(g).diagonal().real.min() ** 2 / g.diagonal().real.max()
+    assert 5 * np.finfo(float).eps / 2 < pivot < protocol.CHOLESKY_PIVOT_RTOL
+    return g
+
+
+def _triple_gram():
+    triple, assignment = _minimized_triple()
+    e_ext = extopt.extended_ensemble(triple, assignment)
+    return _kernel_gram(e_ext, 6, (0, 1, 2, 0, 1, 2), eps=0.05)
+
+
+@pytest.mark.parametrize("gram, m, rank, pivoted", [
+    (_full_rank_gram, 11, 11, False),
+    # test_js_fast_path_matches_dense_route's rank-1 Gram
+    (lambda: _kernel_gram(zero_plus_pair(), 4, (0, 0, 1, 1), dim_cap=6), 6, 1, True),
+    (_triple_gram, 15, 7, True),  # the mixed triple's, as ep-visible factors it
+    (lambda: np.zeros((4, 4), dtype=np.complex128), 4, 0, True),
+    (_noise_pivot_gram, 5, 4, True),
+], ids=["full-rank", "rank-1", "triple-rank-7", "zero", "noise-pivot"])
+def test_gram_factor_route(monkeypatch, gram, m, rank, pivoted):
+    # Only a Gram whose unpivoted pivots all pass the sqrt(u) gate keeps
+    # numpy's Cholesky factor; every other one goes to zpstrf, once, and the
+    # factor has the rank zpstrf reports
+    g = gram()
+    assert g.shape == (m, m)
+    assert protocol._lapack("zpstrf", g.copy(), lower=1)[2] == rank
+    calls = _lapack_calls(monkeypatch)
+    t = protocol._gram_factor(g)
+    assert calls == ["zpstrf"] * pivoted
+    assert t.shape == (m, rank)
+    if not pivoted:
+        assert np.array_equal(t, np.tril(t))
+    assert np.abs(t @ t.conj().T - g).max() <= 1e-14 * g.diagonal().real.max()
+
+
 def test_kernel_workspace_reuse_is_order_free(monkeypatch):
     # One kernel reuses its traced-route buffers across sequences whose stacks
     # change size; forward order, reverse order and a fresh kernel per sequence
