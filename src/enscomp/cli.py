@@ -274,11 +274,6 @@ def cmd_minimize(args) -> int:
     result = extopt.minimize_extension_entropy(blocked, cfg)
     report = bounds.envelope_check(blocked, result.best_entropy)
     rows = []
-    best_index = min(
-        (h.start_index for h in result.history
-         if h.final_entropy == result.best_entropy),
-        default=0,
-    )
     for h in result.history:
         rows.append(
             (
@@ -287,7 +282,7 @@ def cmd_minimize(args) -> int:
                 h.final_entropy,
                 h.iterations,
                 h.converged,
-                h.start_index == best_index,
+                h.start_index == result.best_start,
             )
         )
     extra = {
@@ -405,6 +400,13 @@ def _add_optimizer_flags(p):
     p.add_argument("--n-block", type=int, default=1)
 
 
+def _add_assignment_flags(p):
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--assignment", help="assignment JSON from a minimize run")
+    given.add_argument("--trivial", action="store_true",
+                       help="use the trivial (identity) assignment")
+
+
 def _add_sampling_flags(p):
     p.add_argument("--eps", type=float, default=None,
                    help="typical-subspace mass target 1-eps")
@@ -440,9 +442,7 @@ def build_parser() -> _Parser:
     _add_sampling_flags(p)
     _add_optimizer_flags(p)
     p.add_argument("--k", type=int, required=True, help="number of blocks")
-    p.add_argument("--assignment", help="assignment JSON from a minimize run")
-    p.add_argument("--trivial", action="store_true",
-                   help="use the trivial (identity) assignment")
+    _add_assignment_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sweep n (js) or k (ep)")
@@ -452,8 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--protocol", choices=("js", "ep"), required=True)
     p.add_argument("--values", type=_values_text, required=True,
                    help="comma-separated n or k values")
-    p.add_argument("--assignment", help="assignment JSON (ep only)")
-    p.add_argument("--trivial", action="store_true")
+    _add_assignment_flags(p)
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -51,6 +51,11 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 LINE_SEARCH_EVALS = 20
 
 
+def param_count(ancilla_dim: int, purifier_dim: int) -> int:
+    n = ancilla_dim * purifier_dim
+    return 2 * n * n
+
+
 @dataclass(frozen=True)
 class ExtensionAssignment:
     """Per-signal isometry parameters defining the extensions rho_i^ext."""
@@ -63,14 +68,12 @@ class ExtensionAssignment:
     def __post_init__(self):
         if self.ancilla_dim < 1 or self.purifier_dim < 1 or self.system_dim < 1:
             raise ValidationError("dimensions must be positive")
-        n = self.ancilla_dim * self.purifier_dim
+        size = param_count(self.ancilla_dim, self.purifier_dim)
         packed = []
         for k, p in enumerate(self.params):
             v = np.asarray(p, dtype=float).reshape(-1)
-            if v.size != 2 * n * n:
-                raise ValidationError(
-                    f"params[{k}] has length {v.size}, expected {2 * n * n}"
-                )
+            if v.size != size:
+                raise ValidationError(f"params[{k}] has length {v.size}, expected {size}")
             packed.append(v)
         object.__setattr__(self, "params", tuple(packed))
 
@@ -103,8 +106,11 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Every start's record, and the best start's final entropy, assignment and index."""
+
     best_entropy: float
     best_assignment: ExtensionAssignment
+    best_start: int  # the lowest start index whose final entropy is best_entropy
     history: tuple[StartRecord, ...] = field(default_factory=tuple)
 
 
@@ -115,11 +121,6 @@ class ExtensionCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def param_count(ancilla_dim: int, purifier_dim: int) -> int:
-    n = ancilla_dim * purifier_dim
-    return 2 * n * n
 
 
 def _isometry(params: np.ndarray, n: int, r: int):
@@ -248,32 +249,26 @@ def _avg_extension(
 
 
 def _plain_entropy(e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int,
-                   purifier_dim: int, regularization: float = 0.0) -> float:
+                   purifier_dim: int) -> float:
     """``assignment_entropy`` of the flat parameters over the registers ``regs``."""
     rho, _ = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
-    w = np.linalg.eigvalsh(rho)
-    if regularization > 0.0:
-        w = w + regularization / rho.shape[0]
-    return entropy_of_eigenvalues(w)
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho))
 
 
-def assignment_entropy(
-    e: Ensemble, assignment: ExtensionAssignment, *, regularization: float = 0.0
-) -> float:
-    """Entropy in bits of sum_i p_i rho_i^ext.
-
-    With ``regularization`` eps > 0 the value is S(rho^ext + (eps/dim) I),
-    the smooth surrogate the gradient refers to.
-    """
+def assignment_entropy(e: Ensemble, assignment: ExtensionAssignment) -> float:
+    """Entropy in bits of sum_i p_i rho_i^ext, unregularized (unlike the minimizer's objective)."""
     a, q = assignment.ancilla_dim, assignment.purifier_dim
-    return _plain_entropy(e, _registers(e, a, q), np.concatenate(assignment.params), a, q,
-                          regularization)
+    return _plain_entropy(e, _registers(e, a, q), np.concatenate(assignment.params), a, q)
 
 
 def _entropy_and_gradient(
     e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
 ):
-    """Regularized entropy (bits) and its gradient w.r.t. the flat params."""
+    """The minimizer's objective and its gradient w.r.t. the flat params.
+
+    The objective, the one regularized entropy (bits), clips rho^ext's
+    eigenvalues at 0 and adds GRAD_REGULARIZATION / dim, with no floor.
+    """
     rho, (k, u, theta) = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
     dim = rho.shape[0]
     eps = GRAD_REGULARIZATION / dim
@@ -389,7 +384,8 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     never exceeds S(ensemble density).  Seeded random starts follow; each
     draws its own sub-seed from (seed, start index).  L-BFGS minimizes the
     regularized entropy with the analytic gradient; reported entropies are
-    unregularized.  Ties across starts break toward the lowest start index.
+    unregularized.  Ties across starts break toward the lowest start index,
+    which the result records as ``best_start``.
     A best start that did not converge is reported with a UserWarning.
     """
     ancilla_dim = cfg.ancilla_dim
@@ -402,8 +398,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     purifier_dim = (
         e.dim * ancilla_dim if cfg.purifier_dim is None else cfg.purifier_dim
     )
-    n = ancilla_dim * purifier_dim
-    total = 2 * n * n * len(e)
+    total = param_count(ancilla_dim, purifier_dim) * len(e)
     # L-BFGS holds about 28 vectors of ``total`` reals (its 10 (s, y) pairs, x,
     # g, d and the line search's), the objective N x da x da products: traced
     # peaks reach 34-37 N n^2 (n = 16 to 64) and 2.6 N (da)^2 complex elements
@@ -420,8 +415,6 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(idx,)))
         x0 = rng.normal(0.0, 1.0, size=total) if idx else np.zeros(total)
         x, iterations, converged, message = _lbfgs(objective, x0, cfg.max_iters)
-        if not np.all(np.isfinite(x)):
-            raise ValidationError(f"optimizer returned non-finite parameters (start {idx})")
         init_s = _plain_entropy(e, regs, x0, ancilla_dim, purifier_dim)
         final_s = _plain_entropy(e, regs, x, ancilla_dim, purifier_dim)
         history.append(
@@ -451,5 +444,6 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     return MinimizeResult(
         best_entropy=float(best_entropy),
         best_assignment=_assignment_from_flat(e, best_x, ancilla_dim, purifier_dim),
+        best_start=best_idx,
         history=tuple(history),
     )

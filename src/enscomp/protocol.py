@@ -25,11 +25,11 @@ s[t:] form a group, and the stack starts from conj(L), one row per string,
 absorbing one position at a time: each group's rows are summed, weighted by
 the position's factor, into the row of the group one position up.  A kernel
 stores these maps as block matrices once and reuses grow-only buffers,
-so an orbit costs a few GEMMs and one reorder.  One level short of the
-root, the children's stacks side by side go through one thin QR when they
-are at least twice as tall as wide, and the root is absorbed into the
-triangle instead: a shorter stack with the same singular values.  The
-trace norm of a stack of more than one column and at least twice as tall
+so an orbit costs a few GEMMs and two reorders.  One level short of the
+root, the children's stacks side by side are replaced by their thin-QR
+triangle when they are at least twice as tall as wide, a shorter stack
+with the same singular values, and one GEMM absorbs the root.  The trace
+norm of a stack of more than one column and at least twice as tall
 as wide is the sum of the singular values of its Householder QR triangle
 (the R-SVD).
 """
@@ -355,48 +355,46 @@ def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
     W starts as the rows of conj(L) in suffix order.  Absorbing position t
     sums E_{c_t}[s_t, r_t, j_t] W[g] over the children g of each group, one
     GEMM per diagonal block, into one of two buffers of ``work``; (r_t, j_t)
-    go before the columns.  Below the root, W's row d holds M_d, the (J' l) x
-    R' stack of the strings ending in d, and the stack is sum_d E_{c,d}^T (x)
-    M_d (rows (j, J' l), columns (r, R')).  When J' l >= 2 D R' for the D
-    children, the thin QR [M_0 ... M_{D-1}] = Q [R_0 ... R_{D-1}] leaves the
-    shorter sum_d E_{c,d}^T (x) R_d with the same singular values (I (x) Q
-    has orthonormal columns), formed by one GEMM with the root's block
-    matrix and one reorder.  Otherwise the root is absorbed too: the
-    stack_j L^dag X_j itself, rows (j, l).  Either stack is Fortran-ordered.
+    go before the columns.  After the first k - 1 positions, W's row d holds
+    M_d, the (J' l) x R' stack of the strings ending in d, and the stack is
+    sum_d E_{c,d}^T (x) M_d (rows (j, J' l), columns (r, R')).  When J' l >=
+    2 D R' for the D children, the thin QR [M_0 ... M_{D-1}] = Q [R_0 ...
+    R_{D-1}] replaces every M_d by the shorter R_d with the same singular
+    values in the sum (I (x) Q has orthonormal columns).  One GEMM with the
+    root's block matrix and one reorder then form the stack, in Fortran order.
     """
     order, levels, dims = tree
     k, l = len(seq), lc.shape[1]
     (r, j), (d, root) = dims[seq[-1]], levels[-1][0][3:]  # the root level is one block
     rp = prod(dims[c][0] for c in seq[:-1])
     jl = prod(dims[c][1] for c in seq[:-1]) * l
-    n = d * rp if jl >= 2 * d * rp else 0  # the root QR triangle's order; 0: no root QR
-    absorbed = seq[:-1] if n else seq
+    n = d * rp  # the columns of [M_0 ... M_{D-1}]
+    qr = jl >= 2 * n  # the root QR cuts its rows from J' l to n
+    h = n if qr else jl
     cols, sizes = l, []
-    for t, c in enumerate(absorbed):
+    for t, c in enumerate(seq[:-1]):
         cols *= prod(dims[c])
         sizes.append(levels[t][-1][1] * cols)
-    # then the QR's input, its triangle, the GEMM's output and the stack; or the stack
-    linalg.check_limit(sum(sizes) + (n * jl + n * n + 2 * r * j * rp * n if n else cols),
+    # then the children, the QR's triangle, the GEMM's output and the stack
+    linalg.check_limit(sum(sizes) + n * jl + qr * n * n + 2 * r * j * rp * h,
                        "elements of the traced-route arrays")
     w = lc[order]
-    for t, c in enumerate(absorbed):
+    for t, c in enumerate(seq[:-1]):
         rj, parents = prod(dims[c]), levels[t][-1][1]
         out = _buffer(work, t % 2, (parents * rj, w.shape[1]))
         for p0, p1, g0, g1, blocks in levels[t]:
             np.matmul(blocks[c], w[g0:g1], out=out[p0 * rj:p1 * rj])
         w = out.reshape(parents, -1)
-    if not n:
-        stack = _buffer(work, "stack", (r * rp, j * jl))
-        return _r_first(w, [dims[c] for c in reversed(seq)], l, stack).T
-    a = _buffer(work, "children", (n, jl))
-    a = _r_first(w, [dims[c] for c in reversed(absorbed)], l, a).T  # [M_0 ... M_{D-1}]
-    qr = _lapack("zgeqrf", a, overwrite_a=1)[0]  # in place: a is in Fortran order
-    tri = _buffer(work, "triangle", (n, n))  # the triangle's transpose, rows (d, r')
-    np.multiply(qr[:n], np.tri(n, dtype=bool).T, out=tri.T)  # zero the reflectors
-    out = _buffer(work, (k - 1) % 2, (r * j, rp * n))
-    np.matmul(root[seq[-1]], tri.reshape(d, rp * n), out=out)
-    stack = _buffer(work, "stack", (r * rp, j * n))
-    np.copyto(stack.reshape(r, rp, j, n), out.reshape(r, j, rp, n).transpose(0, 2, 1, 3))
+    # [M_0 ... M_{D-1}]^T, rows (d, r'); the QR runs in place on its Fortran-ordered transpose
+    a = _r_first(w, [dims[c] for c in reversed(seq[:-1])], l, _buffer(work, "children", (n, jl)))
+    if qr:
+        tri = _lapack("zgeqrf", a.T, overwrite_a=1)[0][:n]
+        a = _buffer(work, "triangle", (n, n))  # the triangle's transpose
+        np.multiply(tri, np.tri(n, dtype=bool).T, out=a.T)  # zero the reflectors
+    out = _buffer(work, (k - 1) % 2, (r * j, rp * h))
+    np.matmul(root[seq[-1]], a.reshape(d, rp * h), out=out)
+    stack = _buffer(work, "stack", (r * rp, j * h))
+    np.copyto(stack.reshape(r, rp, j, h), out.reshape(r, j, rp, h).transpose(0, 2, 1, 3))
     return stack.T
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enscomp import bounds, cli, linalg, reference, states
+from enscomp import bounds, cli, extopt, linalg, reference, states
 from enscomp.errors import EnsembleParseError, ValidationError
 
 
@@ -150,7 +150,6 @@ def test_minimize_and_simulate_ep_pipeline(tmp_path, capsys):
 
 
 def test_simulate_assignment_file_roundtrip(tmp_path):
-    from enscomp import extopt
     e = reference.orthogonal_pair()
     asn = extopt.trivial_assignment(e, 2, 2)
     payload = cli.assignment_to_payload(asn)
@@ -320,7 +319,6 @@ def test_malformed_ensemble_is_a_parse_error(tmp_path, capsys, payload):
     ids=["system-dim-string", "ancilla-dim-fraction", "params-non-numeric"],
 )
 def test_malformed_assignment_is_a_parse_error(tmp_path, capsys, field, value):
-    from enscomp import extopt
     e = reference.orthogonal_pair()
     payload = cli.assignment_to_payload(extopt.trivial_assignment(e, 2, 2))
     payload[field] = value
@@ -357,6 +355,22 @@ def test_pure_extensions_excludes_purifier_dim(tmp_path, capsys, command):
     path = write_ensemble(tmp_path, reference.orthogonal_pair())
     with pytest.raises(SystemExit) as exc:
         cli.main([command[0], path, *command[1:], "--pure-extensions", "--purifier-dim", "3"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-ep", "--k", "1", "--eps", "0.1"],
+    ["sweep", "--protocol", "ep", "--values", "1", "--eps", "0.1"],
+])
+def test_assignment_excludes_trivial(tmp_path, capsys, command):
+    # an assignment file and the trivial assignment name two assignments
+    path = write_ensemble(tmp_path, reference.orthogonal_pair())
+    asn = tmp_path / "assignment.json"
+    asn.write_text(json.dumps(cli.assignment_to_payload(
+        extopt.trivial_assignment(reference.orthogonal_pair(), 2, 2))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command[0], path, *command[1:], "--assignment", str(asn), "--trivial"])
     assert exc.value.code == 1
     assert "not allowed with argument" in capsys.readouterr().err
 

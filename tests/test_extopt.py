@@ -214,17 +214,45 @@ def test_gradient_matches_central_differences(rng):
             up, dn = flat.copy(), flat.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (
-                extopt.assignment_entropy(
-                    e, extopt.ExtensionAssignment(2, a_dim, q_dim, tuple(np.split(up, len(e)))),
-                    regularization=extopt.GRAD_REGULARIZATION,
-                )
-                - extopt.assignment_entropy(
-                    e, extopt.ExtensionAssignment(2, a_dim, q_dim, tuple(np.split(dn, len(e)))),
-                    regularization=extopt.GRAD_REGULARIZATION,
-                )
-            ) / (2 * h)
+            fd[i] = (_oracle_objective(e, a_dim, q_dim, up)
+                     - _oracle_objective(e, a_dim, q_dim, dn)) / (2 * h)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)
+
+
+def _oracle_objective(e, a_dim, q_dim, flat):
+    """The minimizer's objective at ``flat``, by scipy's expm (dense_oracle)."""
+    asn = extopt.ExtensionAssignment(e.dim, a_dim, q_dim, tuple(np.split(flat, len(e))))
+    return dense_oracle.expm_frechet_gradient(e, asn)[0]
+
+
+@pytest.mark.parametrize("source", [zero_plus_pair, orthogonal_pair])
+@pytest.mark.parametrize("a_dim, q_dim", [(2, 2), (4, 1), (64, 1)])
+def test_objective_value_matches_oracle(rng, source, a_dim, q_dim):
+    # the objective has one definition: eigenvalues clipped at 0 plus
+    # GRAD_REGULARIZATION / dim, no entropy floor (system x ancilla up to 256)
+    e = source()
+    flat = rng.normal(size=extopt.param_count(a_dim, q_dim) * len(e))
+    regs = extopt._registers(e, a_dim, q_dim)
+    value, _ = extopt._entropy_and_gradient(e, regs, flat, a_dim, q_dim)
+    assert abs(value - _oracle_objective(e, a_dim, q_dim, flat)) <= 1e-12
+
+
+def test_gradient_matches_central_differences_at_dimension_128(rng):
+    # |0>/|+> with pure extensions: the extended pair is not orthogonal, so the
+    # entropy moves with the parameters (the orthogonal pair's stays at 1 bit)
+    e, a_dim, q_dim = zero_plus_pair(), 64, 1
+    flat = rng.normal(size=extopt.param_count(a_dim, q_dim) * len(e))
+    asn = extopt.ExtensionAssignment(2, a_dim, q_dim, tuple(np.split(flat, len(e))))
+    grad = extopt.entropy_gradient(e, asn)
+    h, coords = 1e-5, rng.choice(flat.size, size=20, replace=False)
+    fd = np.zeros(len(coords))
+    for n, i in enumerate(coords):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += h
+        dn[i] -= h
+        fd[n] = (_oracle_objective(e, a_dim, q_dim, up)
+                 - _oracle_objective(e, a_dim, q_dim, dn)) / (2 * h)
+    assert np.linalg.norm(grad[coords] - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
 def _degenerate_params(rng, n):
@@ -413,6 +441,28 @@ def test_trivial_start_converges_in_zero_iterations(source):
     cfg = extopt.OptimizerConfig(multistarts=1, ancilla_dim=2, purifier_dim=2)
     start = extopt.minimize_extension_entropy(source(), cfg).history[0]
     assert start.iterations == 0 and start.converged
+
+
+def test_best_start_ties_break_to_start_zero():
+    # with purifier 1 every extension of the pure state |0> is pure: the starts
+    # end at 0 up to rounding, five of the eight at exactly 0, start 0 among them
+    e = Ensemble([1.0], (DensityMatrix(np.diag([1.0, 0.0]), (2,)),))
+    res = extopt.minimize_extension_entropy(e, extopt.OptimizerConfig(seed=7, purifier_dim=1))
+    finals = [h.final_entropy for h in res.history]
+    assert max(finals) < 1e-15 and finals.count(0.0) > 1
+    assert res.best_entropy == 0.0 and res.best_start == 0
+
+
+def test_best_start_is_the_first_start_reaching_the_best_entropy():
+    # on the mixed triple the trivial start 0 stays at S(rho), above the
+    # optimum, and starts 1 to 3 end within 2e-9 of each other
+    e = mixed_triple()
+    cfg = extopt.OptimizerConfig(multistarts=4, seed=7, ancilla_dim=2, purifier_dim=2)
+    res = extopt.minimize_extension_entropy(e, cfg)
+    finals = [h.final_entropy for h in res.history]
+    assert res.best_entropy == min(finals)
+    assert res.best_start == finals.index(res.best_entropy) > 0
+    assert extopt.assignment_entropy(e, res.best_assignment) == res.best_entropy
 
 
 def test_minimize_converged_best_start_is_silent():

@@ -526,7 +526,8 @@ def test_fidelity_kernel_element_budget(monkeypatch):
     e_ext = extopt.extended_ensemble(mixed, extopt.trivial_assignment(mixed, 2, 2))
     ts = protocol.typical_subspace(states.ensemble_density(e_ext), 2, dim_cap=3)
     # the Cholesky set 5 x 3 x 3 and the traced route's block matrices (96
-    # elements) fit; its level outputs and stack (44 per column of L) do not
+    # elements) fit; its level output, the root's children, the GEMM output and
+    # the stack (56 per column of L) do not
     monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 100)
     kernel = protocol._fidelity_kernel(ts, e_ext.states, mixed.states, 2)
     with pytest.raises(DimensionGuardError, match="traced-route array"):
