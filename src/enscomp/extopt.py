@@ -20,6 +20,10 @@ Math. 16, 321 (1995); Higham, Functions of Matrices, ch. 3 and 10).  Its
 divided differences are written with sinc, which never divides by an
 eigenvalue gap, so degenerate eigenvalues need no threshold.
 
+One batched builder makes every state's amplitudes K_i, its generator's
+eigenpairs and sum_i p_i K_i K_i^dag for all callers, and one helper checks
+every assignment a public entry is given against its ensemble.
+
 Each start runs a numpy L-BFGS (Liu & Nocedal, Math. Prog. 45, 503 (1989))
 with a strong-Wolfe line search (Nocedal & Wright, Numerical Optimization,
 Alg. 3.5-3.6 and 7.4), so the minimizer needs no scipy.
@@ -32,8 +36,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .errors import BoundViolationError, ValidationError
-from .states import (DensityMatrix, Ensemble, _system_factors, entropy_of_eigenvalues,
-                     holevo_quantity)
+from .states import DensityMatrix, Ensemble, _system_factors, entropy_of_eigenvalues
 
 # Full-rank regularization added inside the log for gradient purposes only;
 # reported entropies are always unregularized.
@@ -87,8 +90,8 @@ class OptimizerConfig:
     purifier_dim: int | None = None  # None -> system_dim * ancilla_dim
 
     def __post_init__(self):
-        for name, low in (("multistarts", 1), ("max_iters", 0), ("ancilla_dim", 1),
-                          ("purifier_dim", 1)):
+        for name, low in (("multistarts", 1), ("max_iters", 0), ("seed", 0),
+                          ("ancilla_dim", 1), ("purifier_dim", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ValidationError(f"{name} must be >= {low}, got {value}")
@@ -121,21 +124,6 @@ class ExtensionCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _isometry(params: np.ndarray, n: int, r: int):
-    """W = expm(A - A^dag)[:, :r] for params of shape (..., 2 n^2), plus (U, theta).
-
-    H = -i(A - A^dag) is exactly Hermitian in floating point, so one eigh
-    H = U diag(theta) U^dag, batched over the leading axes, gives
-    expm(A - A^dag) = U diag(e^{i theta}) U^dag.
-    """
-    p = np.asarray(params, dtype=float)
-    p = p.reshape(p.shape[:-1] + (2, n, n))
-    a = p[..., 0, :, :] + 1j * p[..., 1, :, :]
-    theta, u = np.linalg.eigh(-1j * (a - a.conj().swapaxes(-1, -2)))
-    w = (u * np.exp(1j * theta)[..., None, :]) @ u[..., :r, :].conj().swapaxes(-1, -2)
-    return w, u, theta
 
 
 def _expm_adjoint_derivative(u: np.ndarray, theta: np.ndarray, z: np.ndarray):
@@ -172,16 +160,47 @@ def _purification_register(rho: DensityMatrix, capacity: int) -> np.ndarray:
     return v[:, :r] * np.sqrt(w[:r])
 
 
-def _extension_amplitudes(
-    b: np.ndarray, params: np.ndarray, ancilla_dim: int, purifier_dim: int
-):
-    """Amplitudes K on (system*ancilla) x purifier, plus the generator's (U, theta).
+def _registers(e: Ensemble, ancilla_dim: int, purifier_dim: int) -> np.ndarray:
+    """The states' purification registers stacked as N x d x r."""
+    cap = ancilla_dim * purifier_dim
+    return np.stack([_purification_register(s, cap) for s in e.states])
 
-    Batched over the leading axes of the registers ``b`` and ``params``.
+
+def _checked_assignment(e: Ensemble, assignment: ExtensionAssignment):
+    """The registers, flat params, a and q of an assignment that fits ``e``."""
+    if assignment.system_dim != e.dim:
+        raise ValidationError(
+            f"assignment system dim {assignment.system_dim} != ensemble dim {e.dim}"
+        )
+    if len(assignment.params) != len(e):
+        raise ValidationError(
+            f"assignment has {len(assignment.params)} param vectors "
+            f"for {len(e)} states"
+        )
+    a, q = assignment.ancilla_dim, assignment.purifier_dim
+    return _registers(e, a, q), np.concatenate(assignment.params), a, q
+
+
+def _extension_amplitudes(
+    e: Ensemble, regs: np.ndarray, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
+):
+    """(sum_i p_i K_i K_i^dag, K, U, theta) for the registers B_i and flat params.
+
+    Each state's params pack A_i as (Re, Im); W_i = expm(A_i - A_i^dag)[:, :r]
+    and K_i = B_i W_i^T on (system*ancilla) x purifier.  H = -i(A - A^dag) is
+    exactly Hermitian in floating point, so one eigh H = U diag(theta) U^dag,
+    batched over the states, gives expm(A - A^dag) = U diag(e^{i theta}) U^dag.
+    The average is not symmetrized: eigh and eigvalsh read one triangle.
     """
-    w_iso, u, theta = _isometry(params, ancilla_dim * purifier_dim, b.shape[-1])
-    m = b @ w_iso.swapaxes(-1, -2)  # ... x d x n
-    return m.reshape(m.shape[:-2] + (-1, purifier_dim)), u, theta
+    n, r = ancilla_dim * purifier_dim, regs.shape[-1]
+    p = flat.reshape(len(regs), 2, n, n)
+    a = p[:, 0] + 1j * p[:, 1]
+    theta, u = np.linalg.eigh(-1j * (a - a.conj().swapaxes(-1, -2)))
+    w = (u * np.exp(1j * theta)[..., None, :]) @ u[..., :r, :].conj().swapaxes(-1, -2)
+    k = (regs @ w.swapaxes(-1, -2)).reshape(len(regs), -1, purifier_dim)  # N x (d*a) x q
+    del w  # W's N n r elements would sit on the traced peak, the N (da)^2 products
+    rho = np.tensordot(e.probs, k @ k.conj().swapaxes(-1, -2), axes=1)
+    return rho, k, u, theta
 
 
 def extension_from_params(
@@ -208,15 +227,6 @@ def trivial_assignment(
 
 def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
     """Replace every signal state by its extension under the assignment."""
-    if assignment.system_dim != e.dim:
-        raise ValidationError(
-            f"assignment system dim {assignment.system_dim} != ensemble dim {e.dim}"
-        )
-    if len(assignment.params) != len(e):
-        raise ValidationError(
-            f"assignment has {len(assignment.params)} param vectors "
-            f"for {len(e)} states"
-        )
     # the stacked parameters, generators and their eigenvectors (traced 4.1-5.1
     # N n^2), then the extensions, their symmetrized copies and eigenvectors
     # and one more state's worth while one is validated (traced 3.0-3.1 N (da)^2)
@@ -224,41 +234,24 @@ def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
     n = a * q
     linalg.check_limit(6 * len(e) * n * n + 3 * (len(e) + 1) * (e.dim * a) ** 2,
                        "elements of the extended ensemble")
-    k, _, _ = _extension_amplitudes(_registers(e, a, q), np.stack(assignment.params), a, q)
+    _, k, _, _ = _extension_amplitudes(e, *_checked_assignment(e, assignment))
+    # stored as DensityMatrix.matrix, which the protocol's Grams read whole
     ext = k @ k.conj().swapaxes(-1, -2)
     ext = (ext + ext.conj().swapaxes(-1, -2)) / 2.0
     dims = e.states[0].factor_dims + (a,)
     return Ensemble(e.probs, tuple(DensityMatrix(m, dims) for m in ext))
 
 
-def _registers(e: Ensemble, ancilla_dim: int, purifier_dim: int) -> np.ndarray:
-    """The states' purification registers stacked as N x d x r."""
-    cap = ancilla_dim * purifier_dim
-    return np.stack([_purification_register(s, cap) for s in e.states])
-
-
-def _avg_extension(
-    e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
-):
-    """sum_i p_i K_i K_i^dag, plus the stacked K and the generators' (U, theta)."""
-    k, u, theta = _extension_amplitudes(
-        regs, flat.reshape(len(regs), -1), ancilla_dim, purifier_dim
-    )
-    rho = np.tensordot(e.probs, k @ k.conj().swapaxes(-1, -2), axes=1)
-    return (rho + rho.conj().T) / 2.0, (k, u, theta)
-
-
 def _plain_entropy(e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int,
                    purifier_dim: int) -> float:
     """``assignment_entropy`` of the flat parameters over the registers ``regs``."""
-    rho, _ = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
+    rho, _, _, _ = _extension_amplitudes(e, regs, flat, ancilla_dim, purifier_dim)
     return entropy_of_eigenvalues(np.linalg.eigvalsh(rho))
 
 
 def assignment_entropy(e: Ensemble, assignment: ExtensionAssignment) -> float:
     """Entropy in bits of sum_i p_i rho_i^ext, unregularized (unlike the minimizer's objective)."""
-    a, q = assignment.ancilla_dim, assignment.purifier_dim
-    return _plain_entropy(e, _registers(e, a, q), np.concatenate(assignment.params), a, q)
+    return _plain_entropy(e, *_checked_assignment(e, assignment))
 
 
 def _entropy_and_gradient(
@@ -269,7 +262,7 @@ def _entropy_and_gradient(
     The objective, the one regularized entropy (bits), clips rho^ext's
     eigenvalues at 0 and adds GRAD_REGULARIZATION / dim, with no floor.
     """
-    rho, (k, u, theta) = _avg_extension(e, regs, flat, ancilla_dim, purifier_dim)
+    rho, k, u, theta = _extension_amplitudes(e, regs, flat, ancilla_dim, purifier_dim)
     dim = rho.shape[0]
     eps = GRAD_REGULARIZATION / dim
     w, v = np.linalg.eigh(rho)
@@ -289,12 +282,7 @@ def _entropy_and_gradient(
 
 def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray:
     """Analytic gradient of the regularized assignment entropy."""
-    regs = _registers(e, assignment.ancilla_dim, assignment.purifier_dim)
-    flat = np.concatenate(assignment.params)
-    _, grad = _entropy_and_gradient(
-        e, regs, flat, assignment.ancilla_dim, assignment.purifier_dim
-    )
-    return grad
+    return _entropy_and_gradient(e, *_checked_assignment(e, assignment))[1]
 
 
 def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionCheck:
@@ -304,14 +292,6 @@ def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionChe
     )
     defect = linalg.trace_norm(reduced - rho.matrix)
     return ExtensionCheck(defect <= linalg.ATOL, float(defect))
-
-
-def _assignment_from_flat(
-    e: Ensemble, flat: np.ndarray, ancilla_dim: int, purifier_dim: int
-) -> ExtensionAssignment:
-    return ExtensionAssignment(
-        e.dim, ancilla_dim, purifier_dim, tuple(np.split(flat.copy(), len(e)))
-    )
 
 
 def _wolfe_step(fun, x, f0: float, g0: np.ndarray, d: np.ndarray):
@@ -436,14 +416,15 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
             f"best start {best_idx} did not converge in {best.iterations} iterations "
             f"(max_iters {cfg.max_iters}: {best.message}); its entropy may sit above the optimum"
         )
-    lower = holevo_quantity(e)
-    if best_entropy < lower - bounds.ENVELOPE_TOL:
+    report = bounds.envelope_check(e, best_entropy)
+    if not report.satisfied:
         raise BoundViolationError(
-            f"optimum {best_entropy} undercuts the Holevo lower bound {lower}"
+            f"bound {report.name} violated: lhs={report.lhs} rhs={report.rhs}"
         )
     return MinimizeResult(
         best_entropy=float(best_entropy),
-        best_assignment=_assignment_from_flat(e, best_x, ancilla_dim, purifier_dim),
+        best_assignment=ExtensionAssignment(e.dim, ancilla_dim, purifier_dim,
+                                            tuple(np.split(best_x.copy(), len(e)))),
         best_start=best_idx,
         history=tuple(history),
     )

@@ -491,6 +491,8 @@ def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
 def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
     if count < 1:
         raise ValidationError(f"Monte-Carlo sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValidationError(f"Monte-Carlo seed must be >= 0, got {seed}")
     linalg.check_limit(count * n, "elements of the Monte-Carlo draw array")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     draws = rng.choice(len(probs), size=(count, n), p=probs)

@@ -234,7 +234,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                          "--n-block", nb, "--trivial"]) == 2
     # optimizer arguments are checked once, in OptimizerConfig
     for bad_arg in (["--ancilla-dim", "-1"], ["--purifier-dim", "0"],
-                    ["--multistarts", "0"], ["--max-iters", "-1"]):
+                    ["--multistarts", "0"], ["--max-iters", "-1"], ["--seed", "-1"]):
         capsys.readouterr()
         assert cli.main(["minimize", path, "--multistarts", "1"] + bad_arg) == 2
         assert bad_arg[0][2:].replace("-", "_") in capsys.readouterr().err
@@ -389,6 +389,18 @@ def test_simulate_zero_samples_is_a_validation_error(tmp_path, capsys):
                      "--sampling", "mc", "--samples", "0"])
     assert code == 2
     assert "sample count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-js", "--n", "2", "--eps", "0.1", "--sampling", "mc", "--samples", "8"],
+    ["simulate-ep", "--k", "1", "--eps", "0.1", "--trivial"],
+], ids=["simulate-js-mc", "simulate-ep-trivial"])
+def test_negative_seed_is_a_validation_error(tmp_path, capsys, argv):
+    # a Monte-Carlo run draws with the seed; simulate-ep checks its optimizer
+    # flags, the seed among them, even with --trivial
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    assert cli.main([argv[0], path, *argv[1:], "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def _data_rows(text):

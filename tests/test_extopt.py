@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from enscomp import bounds, extopt, linalg, states
-from enscomp.errors import DimensionGuardError, ValidationError
+from enscomp.errors import BoundViolationError, DimensionGuardError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
@@ -87,14 +87,27 @@ def test_extended_ensemble_builds_every_extension_in_one_call(monkeypatch, rng):
     calls = []
     build = extopt._extension_amplitudes
 
-    def recording(b, params, ancilla_dim, purifier_dim):
-        calls.append((b.shape, params.shape))
-        return build(b, params, ancilla_dim, purifier_dim)
+    def recording(e, regs, flat, ancilla_dim, purifier_dim):
+        calls.append((regs.shape, flat.shape))
+        return build(e, regs, flat, ancilla_dim, purifier_dim)
 
     monkeypatch.setattr(extopt, "_extension_amplitudes", recording)
     ext = extopt.extended_ensemble(e, assignment)
-    assert calls == [((3, 2, 2), (3, 2 * n * n))]
+    assert calls == [((3, 2, 2), (3 * 2 * n * n,))]
     assert len(ext) == 3 and ext.states[0].factor_dims == (2, 2)
+
+
+@pytest.mark.parametrize("entry", [extopt.extended_ensemble, extopt.assignment_entropy,
+                                   extopt.entropy_gradient])
+def test_mismatched_assignment_is_rejected_by_every_entry(entry):
+    # the orthogonal pair (d = 4) against assignments built for |0>/|+> (d = 2),
+    # and against one with a single parameter vector for its two states
+    e = orthogonal_pair()
+    with pytest.raises(ValidationError, match="system dim 2 != ensemble dim 4"):
+        entry(e, extopt.trivial_assignment(zero_plus_pair(), 2, 2))
+    one = extopt.ExtensionAssignment(4, 2, 4, (np.zeros(extopt.param_count(2, 4)),))
+    with pytest.raises(ValidationError, match="1 param vectors for 2 states"):
+        entry(e, one)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -287,14 +300,21 @@ def test_objective_and_gradient_match_scipy_expm_frechet(rng):
 
 
 def test_isometry_matches_scipy_expm(rng):
-    for n, r, scale in ((4, 2, 1.0), (8, 3, 1.0), (8, 8, 12.5), (4, 4, 0.0)):
-        params = scale * rng.normal(size=2 * n * n)
-        w, _, _ = extopt._isometry(params, n, r)
-        assert np.abs(w - dense_oracle.expm_isometry(params, n, r)).max() <= 1e-12
-    params = _degenerate_params(rng, 4)
-    w, _, theta = extopt._isometry(params, 4, 4)
+    # K_i = B_i expm(A - A^dag)[:, :r]^T from the builder, one state of dim r
+    def amplitudes(params, a_dim, q_dim, r):
+        e = Ensemble([1.0], (DensityMatrix(np.eye(r) / r, (r,)),))
+        b = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        _, k, _, theta = extopt._extension_amplitudes(e, b[None], params, a_dim, q_dim)
+        w = dense_oracle.expm_isometry(params, a_dim * q_dim, r)
+        return np.abs(k[0] - (b @ w.T).reshape(-1, q_dim)).max(), theta[0]
+
+    for a_dim, q_dim, r, scale in ((2, 2, 2, 1.0), (2, 4, 3, 1.0), (4, 2, 8, 12.5),
+                                   (2, 2, 4, 0.0)):
+        params = scale * rng.normal(size=extopt.param_count(a_dim, q_dim))
+        assert amplitudes(params, a_dim, q_dim, r)[0] <= 1e-12
+    err, theta = amplitudes(_degenerate_params(rng, 4), 2, 2, 4)
     assert np.ptp(theta[:2]) < 1e-12 and np.ptp(theta[2:]) < 1e-12
-    assert np.abs(w - dense_oracle.expm_isometry(params, 4, 4)).max() <= 1e-12
+    assert err <= 1e-12
 
 
 def test_gradient_zero_at_flat_landscape(rng):
@@ -322,6 +342,7 @@ def test_gradient_gauge_direction_vanishes(rng):
 @pytest.mark.parametrize("field, value", [
     ("multistarts", 0), ("multistarts", -3), ("max_iters", -1),
     ("ancilla_dim", 0), ("ancilla_dim", -1), ("purifier_dim", 0), ("purifier_dim", -2),
+    ("seed", -1),
 ])
 def test_optimizer_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
@@ -377,6 +398,17 @@ def test_minimize_envelope_and_start_dominance(rng):
         upper = states.von_neumann_entropy(states.ensemble_density(e))
         assert lower - 1e-6 <= res.best_entropy <= upper + 1e-6
         assert all(res.best_entropy <= h.initial_entropy + 1e-8 for h in res.history)
+
+
+@pytest.mark.parametrize("name, value", [("holevo_quantity", 10.0),
+                                         ("von_neumann_entropy", -1.0)])
+def test_minimize_raises_outside_the_envelope(monkeypatch, name, value):
+    # the optimum is checked by bounds.envelope_check on both sides: a lower
+    # bound pushed above S(rho), then an upper bound pushed below chi
+    monkeypatch.setattr(bounds, name, lambda *args: value)
+    cfg = extopt.OptimizerConfig(multistarts=1, max_iters=5, ancilla_dim=2, purifier_dim=1)
+    with pytest.raises(BoundViolationError, match=r"bound entropy_envelope\(.*\) violated: lhs="):
+        extopt.minimize_extension_entropy(zero_plus_pair(), cfg)
 
 
 def test_minimize_reproducible(rng):

@@ -378,6 +378,18 @@ def test_mc_sample_count_must_be_positive(samples):
     protocol.js_protocol(e, 2, eps=0.1, sampling="exact", mc_samples=samples)
 
 
+def test_mc_seed_must_be_non_negative():
+    e = orthogonal_pair()
+    with pytest.raises(ValidationError, match="seed"):
+        protocol.js_protocol(e, 2, eps=0.1, sampling="mc", mc_samples=8, seed=-1)
+    triv = extopt.trivial_assignment(e, 1, 4)
+    with pytest.raises(ValidationError, match="seed"):
+        protocol.extension_protocol(e, 1, triv, 2, eps=0.1, sampling="mc", mc_samples=8,
+                                    seed=-1)
+    # exact mode draws nothing, so the seed is not used
+    protocol.js_protocol(e, 2, eps=0.1, sampling="exact", seed=-1)
+
+
 def test_js_protocol_auto_switches_to_sampling():
     e = zero_plus_pair()
     res = protocol.js_protocol(e, 13, dim_cap=64, mc_samples=50, seed=2)
