@@ -6,7 +6,14 @@ import numpy as np
 
 from . import linalg
 from .fidelity import fidelity
-from .states import DensityMatrix, Ensemble, ensemble_density, holevo_quantity, von_neumann_entropy
+from .states import (
+    DensityMatrix,
+    Ensemble,
+    _holevo_quantity,
+    ensemble_density,
+    holevo_quantity,
+    von_neumann_entropy,
+)
 
 # The entropy-continuity inequality only holds above this fidelity floor.
 CONTINUITY_FIDELITY_FLOOR = 1.0 - 1.0 / 36.0
@@ -87,8 +94,8 @@ def envelope_check(e: Ensemble, best_entropy: float) -> BoundReport:
     Encoded as a single report: lhs is the worst-side violation, rhs the
     tolerance, so the BoundReport invariant still reads lhs <= rhs.
     """
-    lower = holevo_quantity(e)
     upper = von_neumann_entropy(ensemble_density(e))
+    lower = _holevo_quantity(e, upper)
     violation = max(lower - best_entropy, best_entropy - upper)
     return _report(
         f"entropy_envelope(I_LH={lower:.9g},S={upper:.9g},best={best_entropy:.9g})",

@@ -109,11 +109,12 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Every start's record, and the best start's final entropy, assignment and index."""
+    """Every start's record; the best start's final entropy, assignment and index; its envelope check."""
 
     best_entropy: float
     best_assignment: ExtensionAssignment
     best_start: int  # the lowest start index whose final entropy is best_entropy
+    envelope: bounds.BoundReport  # bounds.envelope_check of best_entropy, satisfied
     history: tuple[StartRecord, ...] = field(default_factory=tuple)
 
 
@@ -426,5 +427,6 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         best_assignment=ExtensionAssignment(e.dim, ancilla_dim, purifier_dim,
                                             tuple(np.split(best_x.copy(), len(e)))),
         best_start=best_idx,
+        envelope=report,
         history=tuple(history),
     )

@@ -15,10 +15,10 @@ seen through X_j = V^dag (A (x) |j>), j running over the traced ancilla
 basis.  X factors position by position like the typical strings.  Every
 sequence gets one factor T with T T^dag = V^dag sigma V: the input rows
 V^dag A when the input rank product Q is below m, else a Cholesky factor of
-the Gram product, numpy's when its pivots pass a sqrt(u) gate and LAPACK's
-pivoted one when the Gram is singular or nearly so.  Y = L L^dag for L =
-[T, sqrt(delta) e_0], delta = 1 - ||T||_F^2 the junk mass, and the
-pre-trace F is ||L^dag T||_1^2.
+the Gram product, numpy's when its pivots pass a sqrt(u) gate and a pivoted
+one, LAPACK's zpstf2 written in numpy, when the Gram is singular or nearly
+so.  Y = L L^dag for L = [T, sqrt(delta) e_0], delta = 1 - ||T||_F^2 the
+junk mass, and the pre-trace F is ||L^dag T||_1^2.
 
 The traced stack never builds X.  The kept strings that share a suffix
 s[t:] form a group, and the stack starts from conj(L), one row per string,
@@ -36,9 +36,10 @@ as wide is the sum of the singular values of its Householder QR triangle
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import linalg
 from .errors import BoundViolationError, ValidationError
@@ -56,7 +57,7 @@ SUFFIX_BLOCK_AREA = 256
 # eps keeps the fewest strings of mass >= 1 - eps - EPS_SLACK, a rounding slack of the cumsum
 EPS_SLACK = 1e-15
 # a Gram takes its unpivoted Cholesky factor when every pivot c_kk^2 exceeds this
-# times max_k g_kk: sqrt(u), u the unit roundoff; else pivoted zpstrf
+# times max_k g_kk: sqrt(u), u the unit roundoff; else the pivoted factor
 CHOLESKY_PIVOT_RTOL = float(np.sqrt(np.finfo(np.float64).eps / 2))
 
 
@@ -237,15 +238,55 @@ def _sequence_gram(ts: TypicalSubspace, grams, seq) -> np.ndarray:
     return gm
 
 
-def _lapack(routine: str, *args, **kwargs) -> list:
-    """The outputs of scipy's LAPACK wrapper ``routine`` but the last, info."""
-    # imported here: scipy.linalg more than doubles the import time of the package
-    from scipy.linalg import lapack
+def _qr_triangle(a: np.ndarray) -> np.ndarray:
+    """R of the thin Householder QR a = Q R of an m x n stack, m >= n, by LAPACK's zgeqrf.
 
-    *out, info = getattr(lapack, routine)(*args, **kwargs)
-    if info < 0:
-        raise ValidationError(f"{routine} rejected argument {-info}")
-    return out
+    numpy's lapack_lite runs zgeqrf in place on a Fortran-ordered ``a`` (any
+    other ``a`` is copied once), after a workspace query.  R is a view of
+    a's first n rows, the reflectors below its diagonal zeroed.
+    """
+    a = np.asfortranarray(a, dtype=np.complex128)
+    m, n = a.shape
+    args = (m, n, a.T, m, np.empty(n, dtype=np.complex128))
+    work = np.empty(1, dtype=np.complex128)
+    lapack_lite.zgeqrf(*args, work, -1, 0)
+    work = np.empty(int(work[0].real), dtype=np.complex128)
+    info = lapack_lite.zgeqrf(*args, work, len(work), 0)["info"]
+    if info:
+        raise ValidationError(f"zgeqrf rejected argument {-info}")
+    r = a[:n]
+    np.multiply(r, np.tri(n, dtype=bool).T, out=r)
+    return r
+
+
+def _pivoted_cholesky(g: np.ndarray) -> np.ndarray:
+    """T with T T^dag = g up to a PSD Schur complement of diagonal <= m * u * max_k g_kk.
+
+    LAPACK zpstf2's left-looking steps, with T's rows kept in g's order:
+    step j pivots on the row p of the largest Schur-complement diagonal, g_pp
+    minus the squared norm of row p of T so far, and stops once that is <=
+    m * u * max_k g_kk.  Column j of T is g's column p less one GEMV, zero on
+    the rows pivoted before, scaled by the pivot's inverse square root.
+    """
+    m = len(g)
+    t = np.zeros((m, m), dtype=np.complex128, order="F")
+    d, w, live = g.diagonal().real.copy(), np.zeros(m), np.ones(m)
+    stop = m * (np.finfo(np.float64).eps / 2) * d.max()
+    for j in range(m):
+        rest = d - w  # -inf on the pivoted rows
+        p = int(rest.argmax())
+        pivot = float(rest[p])
+        if not pivot > stop:  # also when g holds a NaN
+            return t[:, :j]
+        w[p], live[p] = np.inf, 0.0
+        col = t[:, j]
+        np.subtract(g[:, p], t[:, :j] @ t[p, :j].conj(), out=col)
+        col *= live
+        root = sqrt(pivot)
+        col *= 1.0 / root
+        col[p] = root
+        w += (col.conj() * col).real
+    return t
 
 
 def _gram_factor(g: np.ndarray) -> np.ndarray:
@@ -253,11 +294,12 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
 
     numpy's unpivoted Cholesky factor is T when every pivot c_kk^2 exceeds
     CHOLESKY_PIVOT_RTOL * max_k g_kk.  Otherwise (g singular or nearly so)
-    LAPACK's pivoted zpstrf stops once every remaining pivot is <= m * u *
-    max_k g_kk, the kernel's one rank tolerance; the dropped PSD Schur
-    complement, of trace <= m^2 * u * max_k g_kk (5e-12 at m = 222), moves
-    into the junk mass.  The unpivoted factor cannot use that tolerance: it
-    keeps the noise pivots of a semidefinite g as columns of T (Higham, 1990).
+    the pivoted factor stops once every remaining pivot is <= m * u *
+    max_k g_kk, LAPACK zpstrf's default and the kernel's one rank tolerance;
+    the dropped PSD Schur complement, of trace <= m^2 * u * max_k g_kk (5e-12
+    at m = 222), moves into the junk mass.  The unpivoted factor cannot use
+    that tolerance: it keeps the noise pivots of a semidefinite g as columns
+    of T (Higham, 1990).
     """
     try:
         c = np.linalg.cholesky(g)
@@ -266,8 +308,7 @@ def _gram_factor(g: np.ndarray) -> np.ndarray:
     else:
         if c.diagonal().real.min() ** 2 > CHOLESKY_PIVOT_RTOL * g.diagonal().real.max():
             return c
-    c, piv, rank = _lapack("zpstrf", g, lower=1)
-    return np.tril(c[:, :rank])[np.argsort(piv)]
+    return _pivoted_cholesky(g)
 
 
 def _buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
@@ -388,9 +429,9 @@ def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
     # [M_0 ... M_{D-1}]^T, rows (d, r'); the QR runs in place on its Fortran-ordered transpose
     a = _r_first(w, [dims[c] for c in reversed(seq[:-1])], l, _buffer(work, "children", (n, jl)))
     if qr:
-        tri = _lapack("zgeqrf", a.T, overwrite_a=1)[0][:n]
+        tri = _qr_triangle(a.T)
         a = _buffer(work, "triangle", (n, n))  # the triangle's transpose
-        np.multiply(tri, np.tri(n, dtype=bool).T, out=a.T)  # zero the reflectors
+        np.copyto(a.T, tri)
     out = _buffer(work, (k - 1) % 2, (r * j, rp * h))
     np.matmul(root[seq[-1]], a.reshape(d, rp * h), out=out)
     stack = _buffer(work, "stack", (r * rp, j * h))
@@ -423,8 +464,7 @@ def _uhlmann(b: np.ndarray) -> float:
     (1982)).
     """
     if b.shape[0] >= 2 * b.shape[1] > 2:
-        b = _lapack("zgeqrf", b, overwrite_a=1)[0][: b.shape[1]]
-        np.multiply(b, np.tri(len(b), dtype=bool).T, out=b)  # zero the reflectors
+        b = _qr_triangle(b)
     return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
@@ -446,9 +486,9 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         q = prod(inputs[c].shape[1] for c in seq)
         # the rows route holds T, L and conj(L) (m x (Q + 1) each) and the
         # (Q + 1) x Q pre-trace stack; the Cholesky route up to five m x m
-        # arrays: the Gram and up to three more while factoring (a rejected
-        # numpy factor and zpstrf's copy, then np.tril's copy and T), then
-        # T, L, conj(L), the pre-trace stack and svd's copy
+        # arrays: the Gram, a rejected numpy factor and the pivoted factor's
+        # buffer while factoring, then T, L, conj(L), the pre-trace stack and
+        # svd's copy
         if q < m:
             linalg.check_limit((3 * m + q) * (q + 1), "elements of the rows-route working set")
             t = _sequence_rows(ts, inputs, seq)

@@ -132,7 +132,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def holevo_quantity(e: Ensemble) -> float:
     """S(sum_i p_i rho_i) - sum_i p_i S(rho_i), in bits."""
-    chi = von_neumann_entropy(ensemble_density(e))
+    return _holevo_quantity(e, von_neumann_entropy(ensemble_density(e)))
+
+
+def _holevo_quantity(e: Ensemble, density_entropy: float) -> float:
+    """holevo_quantity(e) given S(sum_i p_i rho_i) as ``density_entropy``."""
+    chi = density_entropy
     for p, s in zip(e.probs, e.states):
         if p > 0:
             chi -= p * von_neumann_entropy(s)

@@ -11,7 +11,9 @@ is the loop-and-sort reference for the string order of ``typical_subspace``,
 ``ep_traced_fidelity`` take.
 ``expm_frechet_gradient`` is the minimizer's objective and gradient by
 scipy's Pade ``expm`` and ``expm_frechet``, one state at a time, and
-``lbfgsb`` runs one minimizer start by scipy's L-BFGS-B.
+``lbfgsb`` runs one minimizer start by scipy's L-BFGS-B.  ``qr_triangle``
+and ``zpstrf_factor`` are scipy's LAPACK wrappers behind the kernel's QR
+triangle and pivoted Cholesky factor.
 """
 
 import functools
@@ -200,6 +202,21 @@ def ep_traced_fidelity(ts, ext_states, block_states, anc_dim: int, seq) -> float
     sqrt_orig = linalg.kron_all([psd_sqrt(block_states[c].matrix) for c in seq])
     sv = linalg.singular_values(sqrt_orig @ psd_sqrt(omega))
     return min(float(np.sum(sv) ** 2), 1.0)
+
+
+def qr_triangle(a) -> np.ndarray:
+    """R of the thin QR of the m x n stack ``a``, m >= n, by scipy's zgeqrf."""
+    return np.triu(scipy.linalg.lapack.zgeqrf(a)[0][: a.shape[1]])
+
+
+def zpstrf_factor(g) -> tuple[np.ndarray, np.ndarray]:
+    """(T, pivots) of g by scipy's zpstrf at its default tolerance m * u * max_k g_kk.
+
+    T T^dag = g up to the dropped Schur complement, T's rows in g's order;
+    ``pivots`` holds the c_jj^2 that T kept, in pivot order.
+    """
+    c, piv, rank, _ = scipy.linalg.lapack.zpstrf(g, lower=1)
+    return np.tril(c[:, :rank])[np.argsort(piv)], c.diagonal().real[:rank] ** 2
 
 
 def expm_isometry(params, n: int, r: int) -> np.ndarray:

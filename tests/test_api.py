@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import enscomp
 
 # The public surface of the package.  A name added to or dropped from
@@ -65,74 +67,77 @@ def test_public_names_are_pinned():
     assert names == sorted(PUBLIC_NAMES)
 
 
-def _run_without_scipy(code: str) -> None:
-    """Run ``code`` in a fresh interpreter; it must leave no scipy module loaded.
+def _run_without_scipy(code: str, *argv: str) -> str:
+    """Run ``code`` with ``argv`` in a fresh interpreter; it must leave no scipy module loaded.
 
-    scipy.linalg more than doubles the package's import time, so only the
-    fidelity kernel's rank-deficient or ill-conditioned Grams (zpstrf) and
-    its traced route (zgeqrf) load it.
+    The runtime is numpy only and scipy serves the tests' oracles: importing
+    scipy.linalg would add about 27 MB of resident memory and more than
+    double the package's import time.  Returns the run's stdout.
     """
     src = pathlib.Path(enscomp.__file__).resolve().parent.parent
     check = (
-        "; loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-        "; sys.exit(f'scipy loaded: {loaded[:3]}' if loaded else 0)"
+        "\nloaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        "\nsys.exit(f'scipy loaded: {loaded[:3]}' if loaded else 0)"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", code + check], env=env,
+    run = subprocess.run([sys.executable, "-c", code + check, *argv], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def test_cli_import_leaves_scipy_unloaded():
     _run_without_scipy("import sys, enscomp.cli")
 
 
-def _zero_plus_file(tmp_path) -> str:
-    from enscomp import cli, reference
+# runs cli.main(argv) and prints the kernel routes it took of the two that
+# scipy's LAPACK wrappers used to serve
+_SPIED_MAIN = """
+import sys
+from enscomp import cli, protocol
+taken = set()
 
-    path = tmp_path / "zero-plus.json"
-    cli.save_ensemble(reference.zero_plus_pair(), str(path))
-    return str(path)
+def spy(name):
+    real = getattr(protocol, name)
+
+    def recorded(a):
+        taken.add(name)
+        return real(a)
+
+    setattr(protocol, name, recorded)
+
+spy("_pivoted_cholesky")
+spy("_qr_triangle")
+assert cli.main(sys.argv[1:]) == 0
+print(*sorted(taken))
+"""
+
+_EP_ROUTES = "_pivoted_cholesky _qr_triangle"
 
 
-def test_analyze_leaves_scipy_unloaded(tmp_path):
-    _run_without_scipy(
-        "import sys, enscomp.cli; "
-        f"assert enscomp.cli.main(['analyze', {_zero_plus_file(tmp_path)!r}]) == 0"
-    )
-
-
-def test_minimize_leaves_scipy_unloaded(tmp_path):
-    out = tmp_path / "min.csv"
-    _run_without_scipy(
-        "import sys, enscomp.cli; "
-        f"assert enscomp.cli.main(['minimize', {_zero_plus_file(tmp_path)!r}, "
-        f"'--out', {str(out)!r}]) == 0"
-    )
-    assert out.read_text().count("\n") > 1
-
-
-def test_rows_route_simulation_leaves_scipy_unloaded(tmp_path):
+@pytest.mark.parametrize("source, argv, routes", [
+    ("zero-plus", ["analyze"], ""),
+    ("zero-plus", ["minimize"], ""),
     # pure signals have rank 1, so every sequence takes the rows route
-    out = tmp_path / "out.csv"
-    _run_without_scipy(
-        "import sys, enscomp.cli; "
-        f"assert enscomp.cli.main(['simulate-js', {_zero_plus_file(tmp_path)!r}, '--n', '4', "
-        f"'--dim-cap', '9', '--out', {str(out)!r}]) == 0"
-    )
-    assert out.read_text().count("\n") > 1
-
-
-def test_full_rank_gram_simulation_leaves_scipy_unloaded(tmp_path):
+    ("zero-plus", ["simulate-js", "--n", "4", "--dim-cap", "9"], ""),
     # a mixed signal takes the Gram route (Q = 2^n >= m), and its
     # well-conditioned Grams take numpy's Cholesky factor
+    ("biased", ["simulate-js", "--n", "10", "--dim-cap", "56"], ""),
+    # the minimized extensions of the mixed triple give singular Grams and
+    # traced stacks tall enough for the QR
+    ("triple", ["simulate-ep", "--k", "2", "--eps", "0.05", "--multistarts", "2"], _EP_ROUTES),
+    ("triple", ["sweep", "--protocol", "ep", "--values", "2,3", "--eps", "0.05",
+                "--multistarts", "2"], _EP_ROUTES),
+], ids=["analyze", "minimize", "simulate-js-rows", "simulate-js-cholesky", "simulate-ep",
+        "sweep-ep"])
+def test_command_leaves_scipy_unloaded(tmp_path, source, argv, routes):
     from enscomp import cli, reference
+    from test_extopt import mixed_triple
 
-    src, out = tmp_path / "biased.json", tmp_path / "out.csv"
-    cli.save_ensemble(reference.biased_qubit(), str(src))
-    _run_without_scipy(
-        "import sys, enscomp.cli; "
-        f"assert enscomp.cli.main(['simulate-js', {str(src)!r}, '--n', '10', "
-        f"'--dim-cap', '56', '--out', {str(out)!r}]) == 0"
-    )
+    ensembles = {"zero-plus": reference.zero_plus_pair, "biased": reference.biased_qubit,
+                 "triple": mixed_triple}
+    src, out = tmp_path / f"{source}.json", tmp_path / "out.csv"
+    cli.save_ensemble(ensembles[source](), str(src))
+    taken = _run_without_scipy(_SPIED_MAIN, argv[0], str(src), *argv[1:], "--out", str(out))
+    assert taken.split() == routes.split()
     assert out.read_text().count("\n") > 1

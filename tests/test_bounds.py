@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enscomp import bounds, states
+from enscomp import bounds, reference, states
 from enscomp.states import DensityMatrix, Ensemble
 
 from conftest import rand_density, rand_ensemble
@@ -95,6 +95,22 @@ def test_envelope_check_cases(rng):
     pure = rand_ensemble(rng, 2, 2, pure=True)
     s = states.von_neumann_entropy(states.ensemble_density(pure))
     assert bounds.envelope_check(pure, s).satisfied
+
+
+def test_envelope_check_builds_the_density_once(monkeypatch):
+    builds = []
+    build = states.ensemble_density
+
+    def recorded(e):
+        builds.append(e)
+        return build(e)
+
+    monkeypatch.setattr(states, "ensemble_density", recorded)
+    monkeypatch.setattr(bounds, "ensemble_density", recorded)
+    pair = reference.orthogonal_pair()
+    rep = bounds.envelope_check(pair, 1.0)
+    assert len(builds) == 1
+    assert (rep.lhs, rep.satisfied) == (0.0, True)  # I_LH = 1 = best, S = 2
 
 
 def test_bound_report_consistency_guard():

@@ -91,21 +91,28 @@ def test_analyze_prints_pure_entropies_as_zero(tmp_path, capsys):
 
 
 def test_minimize_builds_the_product_source_once(tmp_path, capsys, monkeypatch):
-    # the minimizer and the envelope check share one blocked source
-    builds = []
-    check = linalg.check_limit
+    # the minimizer checks the envelope of the one blocked source, once, and
+    # the command prints that report
+    builds, envelopes = [], []
+    check, envelope_check = linalg.check_limit, bounds.envelope_check
 
     def recording(count, what, limit=None):
         if what == "elements of the product ensemble":
             builds.append(count)
         check(count, what, limit)
 
+    def recorded_envelope(e, best):
+        envelopes.append(envelope_check(e, best))
+        return envelopes[-1]
+
     monkeypatch.setattr(linalg, "check_limit", recording)
+    monkeypatch.setattr(bounds, "envelope_check", recorded_envelope)
     path = write_ensemble(tmp_path, reference.zero_plus_pair())
     assert cli.main(["minimize", path, "--n-block", "2", "--multistarts", "1",
                      "--max-iters", "5"]) == 0
     assert len(builds) == 1
-    assert "entropy_envelope" in capsys.readouterr().out
+    assert len(envelopes) == 1
+    assert f"# bound {envelopes[0].name}:" in capsys.readouterr().out
 
 
 def test_block_minimize_on_a_pure_source_is_silent(tmp_path, capsys):

@@ -400,8 +400,10 @@ def test_minimize_envelope_and_start_dominance(rng):
         assert all(res.best_entropy <= h.initial_entropy + 1e-8 for h in res.history)
 
 
-@pytest.mark.parametrize("name, value", [("holevo_quantity", 10.0),
-                                         ("von_neumann_entropy", -1.0)])
+@pytest.mark.parametrize("name, value", [
+    pytest.param("_holevo_quantity", 10.0, id="holevo_quantity-10.0"),
+    ("von_neumann_entropy", -1.0),
+])
 def test_minimize_raises_outside_the_envelope(monkeypatch, name, value):
     # the optimum is checked by bounds.envelope_check on both sides: a lower
     # bound pushed above S(rho), then an upper bound pushed below chi
@@ -409,6 +411,13 @@ def test_minimize_raises_outside_the_envelope(monkeypatch, name, value):
     cfg = extopt.OptimizerConfig(multistarts=1, max_iters=5, ancilla_dim=2, purifier_dim=1)
     with pytest.raises(BoundViolationError, match=r"bound entropy_envelope\(.*\) violated: lhs="):
         extopt.minimize_extension_entropy(zero_plus_pair(), cfg)
+
+
+def test_minimize_returns_its_envelope_report():
+    cfg = extopt.OptimizerConfig(multistarts=2, seed=3, ancilla_dim=2, purifier_dim=1)
+    res = extopt.minimize_extension_entropy(zero_plus_pair(), cfg)
+    assert res.envelope == bounds.envelope_check(zero_plus_pair(), res.best_entropy)
+    assert res.envelope.satisfied
 
 
 def test_minimize_reproducible(rng):

@@ -316,8 +316,8 @@ def test_mc_draw_budget_guard_allocates_nothing():
 
 def test_cholesky_working_set_guard_allocates_nothing():
     # m^2 fits the budget, but the Cholesky route holds about five m x m
-    # arrays at once (Gram, zpstrf's copy, T, L and the pre-trace stack), so
-    # the guard fires before the Gram is built
+    # arrays at once (Gram, a rejected numpy factor, T, L and the pre-trace
+    # stack), so the guard fires before the Gram is built
     rng = np.random.default_rng(11)
     e = Ensemble([0.5, 0.5], (rand_density(rng, 2), rand_density(rng, 2)))
     ts = protocol.typical_subspace(states.ensemble_density(e), 11, dim_cap=1900)
@@ -583,15 +583,15 @@ def test_kernel_zero_rank_gram():
     assert abs(ep.ext_avg_fidelity - 1.0) < 1e-15
 
 
-def _lapack_calls(monkeypatch) -> list[str]:
-    """The names of the LAPACK routines the kernel calls from now on."""
-    calls, lapack = [], protocol._lapack
+def _spy(monkeypatch, name: str) -> list[tuple[int, ...]]:
+    """The shapes of the arrays the kernel passes to protocol.<name> from now on."""
+    calls, real = [], getattr(protocol, name)
 
-    def recorded(name, *args, **kwargs):
-        calls.append(name)
-        return lapack(name, *args, **kwargs)
+    def recorded(a):
+        calls.append(a.shape)
+        return real(a)
 
-    monkeypatch.setattr(protocol, "_lapack", recorded)
+    monkeypatch.setattr(protocol, name, recorded)
     return calls
 
 
@@ -613,7 +613,7 @@ def _lapack_calls(monkeypatch) -> list[str]:
 def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank, tall):
     # ||stack_j L^dag X_j||_1 against one SVD of the raw stack; a stack of
     # more than one column and at least twice as tall as wide goes through
-    # one zgeqrf, so the (c + 1) x c pre-trace stacks of JS never do
+    # one QR triangle, so the (c + 1) x c pre-trace stacks of JS never do
     rng = np.random.default_rng(m * 1000 + r * 10 + j)
 
     def cplx(*shape):
@@ -625,24 +625,40 @@ def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank,
         x = np.einsum("skj,kr->srj", x[:, :rank], cplx(rank, r))
     stack = np.vstack([l.conj().T @ x[:, :, i] for i in range(j)])
     want = np.sum(np.linalg.svd(stack, compute_uv=False)) ** 2
-    calls = _lapack_calls(monkeypatch)
-    # C order (zgeqrf copies it) and Fortran order (zgeqrf overwrites it)
+    calls = _spy(monkeypatch, "_qr_triangle")
+    # C order (the QR copies it) and Fortran order (the QR overwrites it)
     for b in (stack.copy(), np.asfortranarray(stack)):
         assert abs(protocol._uhlmann(b) - want) <= 1e-13 * want
-    assert calls == ["zgeqrf"] * 2 * tall
+    assert calls == [stack.shape] * 2 * tall
+
+
+@pytest.mark.parametrize("m, n", [(256, 64), (128, 64), (32, 16), (64, 2), (4, 2), (3, 1)])
+def test_qr_triangle_matches_scipy_zgeqrf(m, n):
+    # numpy's lapack_lite zgeqrf against scipy's: the same triangle, from a
+    # C-ordered stack (copied, left as it was) and in place on a Fortran one
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    want = dense_oracle.qr_triangle(a)
+    c_order, f_order = a.copy(), np.asfortranarray(a)
+    for b in (c_order, f_order):
+        r = protocol._qr_triangle(b)
+        assert r.shape == (n, n) and np.array_equal(r, np.triu(r))
+        assert np.abs(r - want).max() <= 1e-14 * np.linalg.norm(a)
+    assert np.array_equal(c_order, a)
+    assert np.shares_memory(r, f_order)
 
 
 def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
     # test_kernel_zero_rank_gram's stacks: the pre-trace one has no columns
     # (T is m x 0), the traced one a 2 x 1 zero column after the root QR (a
-    # 4 x 1 column before it); a zero stack of two columns does reach zgeqrf
-    calls = _lapack_calls(monkeypatch)
+    # 4 x 1 column before it); a zero stack of two columns does reach the QR
+    calls = _spy(monkeypatch, "_qr_triangle")
     assert protocol._uhlmann(np.zeros((1, 0), dtype=np.complex128)) == 0.0
     assert protocol._uhlmann(np.zeros((2, 1), dtype=np.complex128, order="F")) == 0.0
     assert protocol._uhlmann(np.zeros((4, 1), dtype=np.complex128, order="F")) == 0.0
     assert calls == []
     assert protocol._uhlmann(np.zeros((4, 2), dtype=np.complex128, order="F")) == 0.0
-    assert calls == ["zgeqrf"]
+    assert calls == [(4, 2)]
 
 
 def _kernel_gram(e: Ensemble, length: int, seq, **target) -> np.ndarray:
@@ -660,7 +676,7 @@ def _full_rank_gram():
 def _noise_pivot_gram():
     # test_rate_is_log2_dim_per_signal's example ranks=[1, 2], n=1, n_block=2,
     # k=2, anc_dim=1, seed=2965: a rank-4 Gram of order 5 whose unpivoted
-    # factor keeps a noise pivot c^2 ~ 1e-15 max_k g_kk, above zpstrf's 5 u
+    # factor keeps a noise pivot c^2 ~ 1e-15 max_k g_kk, above the pivoted factor's stop 5 u
     rng = np.random.default_rng(2965)
     p = rng.uniform(0.1, 1.0, size=2)
     e = Ensemble(p / p.sum(), tuple(rand_density(rng, 2, rank=r) for r in (1, 2)))
@@ -688,18 +704,62 @@ def _triple_gram():
 ], ids=["full-rank", "rank-1", "triple-rank-7", "zero", "noise-pivot"])
 def test_gram_factor_route(monkeypatch, gram, m, rank, pivoted):
     # Only a Gram whose unpivoted pivots all pass the sqrt(u) gate keeps
-    # numpy's Cholesky factor; every other one goes to zpstrf, once, and the
-    # factor has the rank zpstrf reports
+    # numpy's Cholesky factor; every other one goes to the pivoted factor,
+    # once.  The pivoted factor has scipy zpstrf's rank on all five Grams
     g = gram()
     assert g.shape == (m, m)
-    assert protocol._lapack("zpstrf", g.copy(), lower=1)[2] == rank
-    calls = _lapack_calls(monkeypatch)
+    scale = g.diagonal().real.max()
+    assert dense_oracle.zpstrf_factor(g.copy())[0].shape == (m, rank)
+    t = protocol._pivoted_cholesky(g)
+    assert t.shape == (m, rank)
+    assert np.abs(t @ t.conj().T - g).max() <= 1e-14 * scale
+    calls = _spy(monkeypatch, "_pivoted_cholesky")
     t = protocol._gram_factor(g)
-    assert calls == ["zpstrf"] * pivoted
+    assert calls == [(m, m)] * pivoted
     assert t.shape == (m, rank)
     if not pivoted:
         assert np.array_equal(t, np.tril(t))
-    assert np.abs(t @ t.conj().T - g).max() <= 1e-14 * g.diagonal().real.max()
+    assert np.abs(t @ t.conj().T - g).max() <= 1e-14 * scale
+
+
+@st.composite
+def _singular_grams(draw) -> np.ndarray:
+    """PSD Grams B B^dag of order m <= 12 that are rank-deficient, have tied diagonals, or are zero."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["low-rank", "unit-entries", "repeated-rows", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "low-rank":
+        r = draw(st.integers(0, m - 1))
+        b = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    elif kind == "unit-entries":  # every g_kk is exactly r
+        b = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, size=(m, draw(st.integers(1, m))))]
+    elif kind == "repeated-rows":  # tied diagonals and rank <= ceil(m / 2)
+        rows = rng.normal(size=((m + 1) // 2, m)) + 1j * rng.normal(size=((m + 1) // 2, m))
+        b = rows[rng.integers(0, len(rows), size=m)]
+    else:
+        b = np.zeros((m, 1))
+    return (b @ b.conj().T).astype(np.complex128)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(g=_singular_grams())
+def test_pivoted_cholesky_matches_zpstrf(g):
+    # The pivoted factor reconstructs g as zpstrf's does and keeps zpstrf's
+    # rank.  Past a Gram's rank the Schur-complement pivots are rounding
+    # noise, seen up to 4 * stop on 30000 such Grams, so a count can differ
+    # only by pivots of that size, which one side keeps and the other drops
+    m, scale = len(g), g.diagonal().real.max()
+    stop = m * (np.finfo(np.float64).eps / 2) * scale
+    t = protocol._pivoted_cholesky(g)
+    want, pivots = dense_oracle.zpstrf_factor(g.copy())
+    for f in (t, want):
+        assert np.abs(f @ f.conj().T - g).max() <= 1e-14 * scale
+    rank = t.shape[1]
+    if rank < len(pivots):
+        assert pivots[rank:].max() <= 8 * stop
+    elif rank > len(pivots):
+        kept = t[:, :len(pivots)]
+        assert (g - kept @ kept.conj().T).diagonal().real.max() <= 8 * stop
 
 
 def test_kernel_workspace_reuse_is_order_free(monkeypatch):
