@@ -43,8 +43,6 @@ from .fidelity import (
 from .linalg import (
     hermitian_eig,
     partial_trace,
-    singular_values,
-    tensor_product,
     trace_norm,
 )
 from .protocol import (

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .errors import BoundViolationError, ValidationError
 from .fidelity import fidelity
 from .states import (
     DensityMatrix,
@@ -54,6 +55,13 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool = True) -> Bound
     )
 
 
+def enforce(reports) -> None:
+    """The one enforcement rule: an applicable, violated bound raises BoundViolationError."""
+    for r in reports:
+        if r.applicable and not r.satisfied:
+            raise BoundViolationError(f"bound {r.name} violated: lhs={r.lhs} rhs={r.rhs}")
+
+
 def holevo_bound_check(e: Ensemble, measured_rate: float) -> BoundReport:
     """Check I_LH(e) <= measured rate (qubits/signal).
 
@@ -73,18 +81,20 @@ def entropy_continuity_check(
     """|S(rho) - S(rho')| <= 2 log2(dim) sqrt(1 - F) + 1, for F > 35/36.
 
     Below the fidelity floor the inequality does not apply and the report is
-    marked not-applicable.
+    marked not-applicable.  A gap 1 - F at or below RANK_RTOL is rounding of
+    F and counts as 0: sqrt() would inflate a gap of 2e-16 to 1.5e-8.
     """
     f = fidelity(rho, rho_prime)
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(rho_prime))
-    rhs = 2.0 * np.log2(rho.dim) * np.sqrt(max(1.0 - f, 0.0)) + 1.0
+    gap = 1.0 - f
+    rhs = 2.0 * np.log2(rho.dim) * np.sqrt(gap if gap > linalg.RANK_RTOL else 0.0) + 1.0
     return _report("entropy_continuity", lhs, rhs, applicable=f > CONTINUITY_FIDELITY_FLOOR)
 
 
 def ancilla_cap(n: int, dim_q: int) -> int:
     """Sufficient ancilla dimension for n-blocks of a dim_q source: dim_q ** (2 n)."""
     if n < 1 or dim_q < 1:
-        raise ValueError("block length and dimension must be positive")
+        raise ValidationError("block length and dimension must be positive")
     return dim_q ** (2 * n)
 
 

@@ -230,14 +230,6 @@ def _emit(args, header, rows, reports, extra=None) -> None:
         sys.stdout.write(text)
 
 
-def _check_reports(reports) -> None:
-    for r in reports:
-        if r.applicable and not r.satisfied:
-            raise BoundViolationError(
-                f"bound {r.name} violated: lhs={r.lhs} rhs={r.rhs}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -355,7 +347,7 @@ def cmd_simulate(args) -> int:
         reports.extend(_simulate_reports(e, res))
         rows.append(_result_row(v, res))
     _emit(args, SIMULATE_HEADER, rows, reports, None if sweep else _json_result_extra(res))
-    _check_reports(reports)
+    bounds.enforce(reports)
     return 0
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, linalg
-from .errors import BoundViolationError, ValidationError
+from .errors import ValidationError
 from .states import DensityMatrix, Ensemble, _system_factors, entropy_of_eigenvalues
 
 # Full-rank regularization added inside the log for gradient purposes only;
@@ -418,10 +418,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
             f"(max_iters {cfg.max_iters}: {best.message}); its entropy may sit above the optimum"
         )
     report = bounds.envelope_check(e, best_entropy)
-    if not report.satisfied:
-        raise BoundViolationError(
-            f"bound {report.name} violated: lhs={report.lhs} rhs={report.rhs}"
-        )
+    bounds.enforce([report])
     return MinimizeResult(
         best_entropy=float(best_entropy),
         best_assignment=ExtensionAssignment(e.dim, ancilla_dim, purifier_dim,

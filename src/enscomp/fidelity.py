@@ -1,16 +1,17 @@
 """Uhlmann fidelity, purifications and the fidelity-preserving extension map.
 
 Fidelity uses the squared convention F = [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2
-throughout.  It is computed as the squared trace norm of sqrt(rho) sqrt(sigma),
-which is the same number but better conditioned; the nested-sqrt form is kept
-as an independent oracle in the test suite.
+throughout.  With F_rho the rank-k eigen-factor of rho (F_rho F_rho^dag = rho,
+``linalg.psd_factor``), it is computed as ||F_rho^dag F_sigma||_1^2: the
+singular values of sqrt(rho) sqrt(sigma), with no matrix square root and the
+same identity as the protocol kernel.  The nested-sqrt form is kept as an
+independent oracle in the test suite.
 
 A purification of rho on system (x) purifier is stored through its amplitude
-matrix A (system dim x purifier dim) with A A^dag = rho.  With F the rank-k
-eigen-factor of rho (F F^dag = rho, ``linalg.psd_factor``), all purifications
-with an r-dimensional purifier arise as A = F U, U a k x r matrix with
-orthonormal rows.  The Uhlmann optimum takes U as the polar factor of the
-cross operator F^dag A' to the other purification.
+matrix A (system dim x purifier dim) with A A^dag = rho.  With F = F_rho,
+all purifications with an r-dimensional purifier arise as A = F U, U a k x r
+matrix with orthonormal rows.  The Uhlmann optimum takes U as the polar factor
+of the cross operator F^dag A' to the other purification.
 """
 
 from dataclasses import dataclass
@@ -71,9 +72,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValidationError(
             f"dimension mismatch: {rho.dim} vs {sigma.dim}"
         )
-    root = linalg._sqrt_of(*rho._psd_eig) @ linalg._sqrt_of(*sigma._psd_eig)
-    val = float(np.sum(linalg.singular_values(root)) ** 2)
-    return min(max(val, 0.0), 1.0)
+    cross = linalg.psd_factor(*rho._psd_eig).conj().T @ linalg.psd_factor(*sigma._psd_eig)
+    return min(linalg._trace_norm(cross) ** 2, 1.0)
 
 
 def canonical_purification(rho: DensityMatrix) -> PureState:

@@ -3,11 +3,13 @@
 Conventions used throughout the package:
 
 * tensor factors are ordered left = most significant (slow index), so
-  ``tensor_product(a, b)`` places ``a`` on the slow index;
-* matrices are plain complex ``np.ndarray`` values and are never mutated.
+  ``kron_all([a, b])`` places ``a`` on the slow index;
+* matrices are plain complex ``np.ndarray`` values, and no public function
+  mutates its input.
 """
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DimensionGuardError, ValidationError
 
@@ -47,15 +49,6 @@ def _as_complex(m) -> np.ndarray:
     return a
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    check_limit(a.shape[0] * b.shape[0], "dimension", MAX_DIM)
-    check_limit(a.shape[-1] * b.shape[-1], "dimension", MAX_DIM)
-    return np.kron(a, b)
-
-
 def kron_all(mats) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     mats = list(mats)
@@ -63,7 +56,10 @@ def kron_all(mats) -> np.ndarray:
         raise ValidationError("kron_all needs at least one factor")
     out = _as_complex(mats[0])
     for m in mats[1:]:
-        out = tensor_product(out, m)
+        m = _as_complex(m)
+        check_limit(out.shape[0] * m.shape[0], "dimension", MAX_DIM)
+        check_limit(out.shape[-1] * m.shape[-1], "dimension", MAX_DIM)
+        out = np.kron(out, m)
     return out
 
 
@@ -143,11 +139,6 @@ def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _sqrt_of(w, v) -> np.ndarray:
-    """Hermitian square root of p from the eigenpairs ``psd_eig(p)``."""
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def psd_factor(w, v) -> np.ndarray:
     """Rank-revealing F with F F^dag = p, from the eigenpairs ``psd_eig(p)``.
 
@@ -157,12 +148,43 @@ def psd_factor(w, v) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values in descending order."""
-    m = _as_complex(m)
-    return np.linalg.svd(m, compute_uv=False)
+def _qr_triangle(a: np.ndarray) -> np.ndarray:
+    """R of the thin Householder QR a = Q R of an m x n stack, m >= n, by LAPACK's zgeqrf.
+
+    numpy's lapack_lite runs zgeqrf in place on a Fortran-ordered ``a`` (any
+    other ``a`` is copied once), after a workspace query.  R is a view of
+    a's first n rows, the reflectors below its diagonal zeroed.
+    """
+    a = np.asfortranarray(a, dtype=np.complex128)
+    m, n = a.shape
+    args = (m, n, a.T, m, np.empty(n, dtype=np.complex128))
+    work = np.empty(1, dtype=np.complex128)
+    lapack_lite.zgeqrf(*args, work, -1, 0)
+    work = np.empty(int(work[0].real), dtype=np.complex128)
+    info = lapack_lite.zgeqrf(*args, work, len(work), 0)["info"]
+    if info:
+        raise ValidationError(f"zgeqrf rejected argument {-info}")
+    r = a[:n]
+    np.multiply(r, np.tri(n, dtype=bool).T, out=r)
+    return r
+
+
+def _trace_norm(a: np.ndarray) -> float:
+    """``trace_norm`` without validation; overwrites a Fortran-ordered tall ``a``."""
+    if a.shape[0] >= 2 * a.shape[1] > 2:
+        a = _qr_triangle(a)
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.sum(singular_values(m)))
+    """||m||_1, the sum of the singular values of a matrix.
+
+    A matrix of more than one column and at least twice as tall as wide
+    goes to its QR triangle first: the same singular values, backward
+    stable like the SVD, and cheaper (the R-SVD; Chan, ACM TOMS 8, 72
+    (1982)).  The input is never overwritten.
+    """
+    a = _as_complex(m)
+    if a.ndim != 2:
+        raise ValidationError(f"expected a matrix, got shape {a.shape}")
+    return _trace_norm(np.array(a, order="F"))

@@ -28,10 +28,8 @@ stores these maps as block matrices once and reuses grow-only buffers,
 so an orbit costs a few GEMMs and two reorders.  One level short of the
 root, the children's stacks side by side are replaced by their thin-QR
 triangle when they are at least twice as tall as wide, a shorter stack
-with the same singular values, and one GEMM absorbs the root.  The trace
-norm of a stack of more than one column and at least twice as tall
-as wide is the sum of the singular values of its Householder QR triangle
-(the R-SVD).
+with the same singular values, and one GEMM absorbs the root.  Both
+stacks' trace norms come from ``linalg``'s R-SVD.
 """
 
 import itertools
@@ -39,7 +37,6 @@ from dataclasses import dataclass
 from math import prod, sqrt
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 from . import linalg
 from .errors import BoundViolationError, ValidationError
@@ -238,27 +235,6 @@ def _sequence_gram(ts: TypicalSubspace, grams, seq) -> np.ndarray:
     return gm
 
 
-def _qr_triangle(a: np.ndarray) -> np.ndarray:
-    """R of the thin Householder QR a = Q R of an m x n stack, m >= n, by LAPACK's zgeqrf.
-
-    numpy's lapack_lite runs zgeqrf in place on a Fortran-ordered ``a`` (any
-    other ``a`` is copied once), after a workspace query.  R is a view of
-    a's first n rows, the reflectors below its diagonal zeroed.
-    """
-    a = np.asfortranarray(a, dtype=np.complex128)
-    m, n = a.shape
-    args = (m, n, a.T, m, np.empty(n, dtype=np.complex128))
-    work = np.empty(1, dtype=np.complex128)
-    lapack_lite.zgeqrf(*args, work, -1, 0)
-    work = np.empty(int(work[0].real), dtype=np.complex128)
-    info = lapack_lite.zgeqrf(*args, work, len(work), 0)["info"]
-    if info:
-        raise ValidationError(f"zgeqrf rejected argument {-info}")
-    r = a[:n]
-    np.multiply(r, np.tri(n, dtype=bool).T, out=r)
-    return r
-
-
 def _pivoted_cholesky(g: np.ndarray) -> np.ndarray:
     """T with T T^dag = g up to a PSD Schur complement of diagonal <= m * u * max_k g_kk.
 
@@ -429,7 +405,7 @@ def _traced_stack(tree, lc: np.ndarray, seq, work: dict) -> np.ndarray:
     # [M_0 ... M_{D-1}]^T, rows (d, r'); the QR runs in place on its Fortran-ordered transpose
     a = _r_first(w, [dims[c] for c in reversed(seq[:-1])], l, _buffer(work, "children", (n, jl)))
     if qr:
-        tri = _qr_triangle(a.T)
+        tri = linalg._qr_triangle(a.T)
         a = _buffer(work, "triangle", (n, n))  # the triangle's transpose
         np.copyto(a.T, tri)
     out = _buffer(work, (k - 1) % 2, (r * j, rp * h))
@@ -453,19 +429,6 @@ def _r_first(w: np.ndarray, rj, l: int, out: np.ndarray) -> np.ndarray:
     np.copyto(out.reshape([dims[a] for a in axes]),
               w.reshape([dims[a] for a in kept]).transpose([kept.index(a) for a in axes]))
     return out
-
-
-def _uhlmann(b: np.ndarray) -> float:
-    """F = ||b||_1^2 for the Uhlmann stack b.
-
-    A stack of more than one column and at least twice as tall as wide goes
-    to its QR triangle first, in place when it is in Fortran order: backward
-    stable like the SVD, and cheaper (the R-SVD; Chan, ACM TOMS 8, 72
-    (1982)).
-    """
-    if b.shape[0] >= 2 * b.shape[1] > 2:
-        b = _qr_triangle(b)
-    return float(np.sum(np.linalg.svd(b, compute_uv=False)) ** 2)
 
 
 def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1):
@@ -500,10 +463,10 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         l[0, -1] = np.sqrt(max(1.0 - float(np.vdot(t, t).real), 0.0))
         lc = l.conj()
         # the transposed GEMM leaves the stack L^dag T in Fortran order
-        fid = _uhlmann((t.T @ lc).T)
+        fid = linalg._trace_norm((t.T @ lc).T) ** 2
         if tree is None:
             return fid, None
-        traced = min(_uhlmann(_traced_stack(tree, lc, seq, work)), 1.0)
+        traced = min(linalg._trace_norm(_traced_stack(tree, lc, seq, work)) ** 2, 1.0)
         if traced < fid - linalg.ATOL:
             raise BoundViolationError(
                 f"partial trace reduced fidelity: {traced} < {fid}"

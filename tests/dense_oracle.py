@@ -175,7 +175,8 @@ def js_compress_sequence(seq: DensityMatrix, ts) -> DensityMatrix:
 
 def psd_sqrt(p) -> np.ndarray:
     """Hermitian PSD square root under the spectral policy of ``linalg.psd_eig``."""
-    return linalg._sqrt_of(*linalg.psd_eig(p))
+    w, v = linalg.psd_eig(p)
+    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def traced_output(ts, y: np.ndarray, block_dim: int, anc_dim: int) -> np.ndarray:
@@ -200,7 +201,7 @@ def ep_traced_fidelity(ts, ext_states, block_states, anc_dim: int, seq) -> float
     ext = linalg.kron_all([ext_states[c].matrix for c in seq])
     omega = traced_output(ts, compressed_y(ext, ts), block_states[0].dim, anc_dim)
     sqrt_orig = linalg.kron_all([psd_sqrt(block_states[c].matrix) for c in seq])
-    sv = linalg.singular_values(sqrt_orig @ psd_sqrt(omega))
+    sv = np.linalg.svd(sqrt_orig @ psd_sqrt(omega), compute_uv=False)
     return min(float(np.sum(sv) ** 2), 1.0)
 
 

@@ -72,10 +72,11 @@ def fidelity_range(delta, tmp_path):
 
 
 def partial_trace_alarm(delta, tmp_path):
-    # the kernel computes the pre-trace F first, then the traced F
-    uhlmann = itertools.cycle([0.5, 0.5 - delta])
+    # the kernel computes the pre-trace F first, then the traced F, each
+    # the square of a trace norm
+    norms = itertools.cycle(np.sqrt([0.5, 0.5 - delta]).tolist())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_uhlmann", lambda b: next(uhlmann))
+        mp.setattr(linalg, "_trace_norm", lambda b: next(norms))
         e = reference.orthogonal_pair()
         a = extopt.trivial_assignment(e, 1)
         protocol.extension_protocol(e, 1, a, 1, dim_cap=2, sampling="exact")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from enscomp import bounds, reference, states
+from enscomp.errors import BoundViolationError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
 from conftest import rand_density, rand_ensemble
@@ -42,6 +43,16 @@ def test_entropy_continuity_identity(rng):
     assert rep.lhs < 1e-9 and abs(rep.rhs - 1.0) < 1e-9
 
 
+def test_entropy_continuity_identity_sweep(rng):
+    # F(rho, rho) falls short of 1 by rounding for about half of all states;
+    # that gap never reaches the sqrt, so the bound's rhs is exactly 1
+    for d in (2, 3, 5, 8):
+        for _ in range(50):
+            rho = rand_density(rng, d)
+            rep = bounds.entropy_continuity_check(rho, rho)
+            assert rep.applicable and rep.rhs == 1.0
+
+
 def test_entropy_continuity_known_value():
     rho = DensityMatrix(np.diag([1.0, 0.0]), (2,))
     rho_t = DensityMatrix(np.diag([0.99, 0.01]), (2,))
@@ -78,6 +89,24 @@ def test_ancilla_cap_values():
     assert bounds.ancilla_cap(2, 2) == 16
     assert bounds.ancilla_cap(1, 3) == 9
     assert bounds.ancilla_cap(4, 8) == 8 ** 8  # no clamp: the minimizer's guard decides
+
+
+@pytest.mark.parametrize("n, dim_q", [(0, 2), (2, 0), (-1, 3)])
+def test_ancilla_cap_rejects_non_positive(n, dim_q):
+    # inside the package's error hierarchy, so the CLI maps it to exit 2
+    with pytest.raises(ValidationError, match="must be positive"):
+        bounds.ancilla_cap(n, dim_q)
+
+
+def test_enforce_raises_only_for_applicable_violations():
+    ok = bounds._report("ok", 1.0, 2.0)
+    moot = bounds._report("moot", 3.0, 2.0, applicable=False)
+    bad = bounds._report("bad", 3.0, 2.0)
+    bounds.enforce([ok, moot])
+    bounds.enforce([])
+    with pytest.raises(BoundViolationError) as exc:
+        bounds.enforce([ok, bad, moot])
+    assert str(exc.value) == "bound bad violated: lhs=3.0 rhs=2.0"
 
 
 def test_envelope_check_cases(rng):

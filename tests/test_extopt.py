@@ -41,7 +41,7 @@ def mixed_triple():
 def test_extension_trivial_params(rng):
     rho = rand_density(rng, 2)
     ext = extopt.extension_from_params(rho, np.zeros(extopt.param_count(2, 4)), 2, 4)
-    expect = linalg.tensor_product(rho.matrix, np.diag([1.0, 0.0]))
+    expect = np.kron(rho.matrix, np.diag([1.0, 0.0]))
     assert np.abs(ext.matrix - expect).max() < 1e-12
     assert ext.factor_dims == (2, 2)
 
@@ -142,7 +142,7 @@ def test_extended_ensemble_properties(d, ranks, n_block, ancilla, purifier, zero
 def test_verify_extension_cases(rng):
     rho = rand_density(rng, 2)
     sig = rand_density(rng, 2)
-    prod = DensityMatrix(linalg.tensor_product(rho.matrix, sig.matrix), (2, 2))
+    prod = DensityMatrix(np.kron(rho.matrix, sig.matrix), (2, 2))
     assert extopt.verify_extension(prod, rho)
 
     from enscomp.fidelity import canonical_purification
@@ -152,7 +152,7 @@ def test_verify_extension_cases(rng):
     # a 1e-3 trace-norm defect must fail
     other = rand_density(rng, 2)
     perturbed = DensityMatrix(
-        linalg.tensor_product(0.999 * rho.matrix + 0.001 * other.matrix, sig.matrix),
+        np.kron(0.999 * rho.matrix + 0.001 * other.matrix, sig.matrix),
         (2, 2),
     )
     check = extopt.verify_extension(perturbed, rho)

@@ -229,7 +229,7 @@ def test_lemma_extension_pure_system_factorizes(rng):
     rpe = rand_density(rng, 4, dims=(2, 2))
     ext = lemma_extension(psi, rpe)
     anc = linalg.partial_trace(ext.matrix, (2, 2), {1})
-    assert np.abs(ext.matrix - linalg.tensor_product(psi.matrix, anc)).max() < 1e-8
+    assert np.abs(ext.matrix - np.kron(psi.matrix, anc)).max() < 1e-8
     rho_prime = DensityMatrix(linalg.partial_trace(rpe.matrix, (2, 2), {0}), (2,))
     assert abs(fidelity(ext, rpe) - fidelity(psi, rho_prime)) < 1e-8
 

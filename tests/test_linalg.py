@@ -11,15 +11,18 @@ from dense_oracle import psd_sqrt
 
 def test_tensor_product_identities():
     i2 = np.eye(2)
-    assert np.array_equal(linalg.tensor_product(i2, i2), np.eye(4))
-    out = linalg.tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert np.array_equal(linalg.kron_all([i2, i2]), np.eye(4))
+    out = linalg.kron_all([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(linalg.kron_all([i2]), i2)
+    with pytest.raises(ValidationError):
+        linalg.kron_all([])
 
 
 def test_tensor_product_index_formula(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    k = linalg.tensor_product(a, b)
+    k = linalg.kron_all([a, b])
     # entry (2,3) = A[1,1] * B[0,1] under 0-based indexing
     assert abs(k[2, 3] - a[1, 1] * b[0, 1]) < 1e-15
     for i in range(4):
@@ -29,21 +32,26 @@ def test_tensor_product_index_formula(rng):
 
 def test_tensor_product_associative(rng):
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-    left = linalg.tensor_product(linalg.tensor_product(mats[0], mats[1]), mats[2])
-    right = linalg.tensor_product(mats[0], linalg.tensor_product(mats[1], mats[2]))
+    left = linalg.kron_all([linalg.kron_all(mats[:2]), mats[2]])
+    right = linalg.kron_all([mats[0], linalg.kron_all(mats[1:])])
     assert np.abs(left - right).max() < 1e-12
+    assert np.array_equal(linalg.kron_all(mats), left)
 
 
 def test_tensor_product_guard(monkeypatch):
     big = np.eye(2 ** 8)
     with pytest.raises(DimensionGuardError):
-        linalg.tensor_product(big, big)
+        linalg.kron_all([big, big])
     # custom limit
     monkeypatch.setattr(linalg, "MAX_DIM", 16)
-    linalg.tensor_product(np.eye(4), np.eye(4))
+    linalg.kron_all([np.eye(4), np.eye(4)])
     monkeypatch.setattr(linalg, "MAX_DIM", 15)
     with pytest.raises(DimensionGuardError):
-        linalg.tensor_product(np.eye(4), np.eye(4))
+        linalg.kron_all([np.eye(4), np.eye(4)])
+    # the guard applies to the running product, factor by factor
+    monkeypatch.setattr(linalg, "MAX_DIM", 8)
+    with pytest.raises(DimensionGuardError):
+        linalg.kron_all([np.eye(4), np.eye(2), np.eye(2)])
 
 
 def test_partial_trace_product_state(rng):
@@ -187,25 +195,58 @@ def test_psd_eig_policy(spectrum, seed):
     assert np.linalg.norm((v * w) @ v.conj().T - h, 2) <= budget
 
 
-def test_singular_values_cases(rng):
-    assert np.allclose(linalg.singular_values(np.diag([2.0, -3.0])), [3.0, 2.0])
+def test_trace_norm_cases(rng):
+    assert abs(linalg.trace_norm(np.diag([2.0, -3.0])) - 5.0) < 1e-15
     u = rng.normal(size=3) + 1j * rng.normal(size=3)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    sv = linalg.singular_values(np.outer(u, v.conj()))
-    assert abs(sv[0] - 1.0) < 1e-12 and np.all(sv[1:] < 1e-12)
+    assert abs(linalg.trace_norm(np.outer(u, v.conj())) - 1.0) < 1e-12
+    with pytest.raises(ValidationError):
+        linalg.trace_norm(np.ones(3))
 
 
-def test_singular_values_gram_oracle(rng):
+def test_trace_norm_gram_oracle(rng):
     m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    sv = linalg.singular_values(m)
-    gram_eigs = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0, None))[::-1]
-    assert np.abs(sv - gram_eigs[: len(sv)]).max() < 1e-10
-    assert abs((sv ** 2).sum() - np.linalg.norm(m) ** 2) < 1e-10 * np.linalg.norm(m) ** 2
+    gram_eigs = np.sqrt(np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0, None))
+    for a in (m, m.T):
+        assert abs(linalg.trace_norm(a) - gram_eigs.sum()) < 1e-10 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("shape, rank, tall", [
+    ((12, 3), None, True),
+    ((4, 2), None, True),  # exactly twice as tall
+    ((12, 4), 2, True),
+    ((6, 2), 0, True),  # zero rank
+    ((8, 1), None, False),  # one column
+    ((1, 1), None, False),
+    ((5, 3), None, False),
+    ((3, 9), None, False),  # wide
+], ids=["tall", "twice-as-tall", "tall-rank-2", "zero-rank", "one-column", "one-by-one", "short",
+        "wide"])
+def test_trace_norm_matches_svd_oracle(monkeypatch, rng, shape, rank, tall):
+    # the R-SVD exactly when the input has more than one column and is at
+    # least twice as tall as wide; an input in Fortran order is not overwritten
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if rank is not None:
+        a = a[:, :rank] @ (rng.normal(size=(rank, shape[1])) + 1j * rng.normal(size=(rank, shape[1])))
+    want = np.sum(np.linalg.svd(a, compute_uv=False))
+    calls, real = [], linalg._qr_triangle
+
+    def recorded(b):
+        calls.append(b.shape)
+        return real(b)
+
+    monkeypatch.setattr(linalg, "_qr_triangle", recorded)
+    for b in (a.copy(), np.asfortranarray(a)):
+        assert abs(linalg.trace_norm(b) - want) <= 1e-14 * np.linalg.norm(a)
+        assert np.array_equal(b, a)
+    assert calls == [shape] * 2 * tall
 
 
 def test_rejects_non_finite():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        linalg.singular_values(bad)
+        linalg.trace_norm(bad)
+    with pytest.raises(ValidationError):
+        linalg.kron_all([np.eye(2), bad])

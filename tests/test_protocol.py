@@ -75,7 +75,7 @@ def test_typical_subspace_projector_invariants(rng):
     assert ts.dim == len(dense_oracle.basis_states(ts))
     rho_n = rho.matrix
     for _ in range(2):
-        rho_n = linalg.tensor_product(rho_n, rho.matrix)
+        rho_n = np.kron(rho_n, rho.matrix)
     assert abs(np.trace(p @ rho_n).real - ts.retained_mass) < 1e-10
 
 
@@ -223,7 +223,7 @@ def test_js_fast_path_matches_dense_route(rng):
         t = protocol._gram_factor(protocol._sequence_gram(ts, grams, seq))
         assert t.shape == (6, 1)
         junk = np.sqrt(1.0 - np.vdot(t, t).real) * np.eye(6)[:, :1]
-        f_fast = protocol._uhlmann(np.hstack([t, junk]).conj().T @ t)
+        f_fast = linalg._trace_norm(np.hstack([t, junk]).conj().T @ t) ** 2
         assert abs(f_dense - f_fast) < 1e-7
         f_rows, _ = kernel(seq)  # rank-1 signals: Q = 1 < m, the rows route
         assert abs(f_dense - f_rows) < 1e-7
@@ -583,15 +583,15 @@ def test_kernel_zero_rank_gram():
     assert abs(ep.ext_avg_fidelity - 1.0) < 1e-15
 
 
-def _spy(monkeypatch, name: str) -> list[tuple[int, ...]]:
-    """The shapes of the arrays the kernel passes to protocol.<name> from now on."""
-    calls, real = [], getattr(protocol, name)
+def _spy(monkeypatch, module, name: str) -> list[tuple[int, ...]]:
+    """The shapes of the arrays passed to module.<name> from now on."""
+    calls, real = [], getattr(module, name)
 
     def recorded(a):
         calls.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(protocol, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -625,10 +625,10 @@ def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank,
         x = np.einsum("skj,kr->srj", x[:, :rank], cplx(rank, r))
     stack = np.vstack([l.conj().T @ x[:, :, i] for i in range(j)])
     want = np.sum(np.linalg.svd(stack, compute_uv=False)) ** 2
-    calls = _spy(monkeypatch, "_qr_triangle")
+    calls = _spy(monkeypatch, linalg, "_qr_triangle")
     # C order (the QR copies it) and Fortran order (the QR overwrites it)
     for b in (stack.copy(), np.asfortranarray(stack)):
-        assert abs(protocol._uhlmann(b) - want) <= 1e-13 * want
+        assert abs(linalg._trace_norm(b) ** 2 - want) <= 1e-13 * want
     assert calls == [stack.shape] * 2 * tall
 
 
@@ -641,7 +641,7 @@ def test_qr_triangle_matches_scipy_zgeqrf(m, n):
     want = dense_oracle.qr_triangle(a)
     c_order, f_order = a.copy(), np.asfortranarray(a)
     for b in (c_order, f_order):
-        r = protocol._qr_triangle(b)
+        r = linalg._qr_triangle(b)
         assert r.shape == (n, n) and np.array_equal(r, np.triu(r))
         assert np.abs(r - want).max() <= 1e-14 * np.linalg.norm(a)
     assert np.array_equal(c_order, a)
@@ -652,12 +652,12 @@ def test_uhlmann_trace_norm_zero_rank_gram(monkeypatch):
     # test_kernel_zero_rank_gram's stacks: the pre-trace one has no columns
     # (T is m x 0), the traced one a 2 x 1 zero column after the root QR (a
     # 4 x 1 column before it); a zero stack of two columns does reach the QR
-    calls = _spy(monkeypatch, "_qr_triangle")
-    assert protocol._uhlmann(np.zeros((1, 0), dtype=np.complex128)) == 0.0
-    assert protocol._uhlmann(np.zeros((2, 1), dtype=np.complex128, order="F")) == 0.0
-    assert protocol._uhlmann(np.zeros((4, 1), dtype=np.complex128, order="F")) == 0.0
+    calls = _spy(monkeypatch, linalg, "_qr_triangle")
+    assert linalg._trace_norm(np.zeros((1, 0), dtype=np.complex128)) == 0.0
+    assert linalg._trace_norm(np.zeros((2, 1), dtype=np.complex128, order="F")) == 0.0
+    assert linalg._trace_norm(np.zeros((4, 1), dtype=np.complex128, order="F")) == 0.0
     assert calls == []
-    assert protocol._uhlmann(np.zeros((4, 2), dtype=np.complex128, order="F")) == 0.0
+    assert linalg._trace_norm(np.zeros((4, 2), dtype=np.complex128, order="F")) == 0.0
     assert calls == [(4, 2)]
 
 
@@ -713,7 +713,7 @@ def test_gram_factor_route(monkeypatch, gram, m, rank, pivoted):
     t = protocol._pivoted_cholesky(g)
     assert t.shape == (m, rank)
     assert np.abs(t @ t.conj().T - g).max() <= 1e-14 * scale
-    calls = _spy(monkeypatch, "_pivoted_cholesky")
+    calls = _spy(monkeypatch, protocol, "_pivoted_cholesky")
     t = protocol._gram_factor(g)
     assert calls == [(m, m)] * pivoted
     assert t.shape == (m, rank)
@@ -779,15 +779,15 @@ def test_kernel_workspace_reuse_is_order_free(monkeypatch):
         def kernel():
             return protocol._fidelity_kernel(ts, e_ext.states, e.states, a.ancilla_dim)
 
-        stacks, uhlmann, calls = set(), protocol._uhlmann, itertools.count()
+        stacks, trace_norm, calls = set(), linalg._trace_norm, itertools.count()
 
         def traced_stacks(b):
             if next(calls) % 2:  # the kernel computes the pre-trace F first, then the traced F
                 stacks.add(b.shape)
-            return uhlmann(b)
+            return trace_norm(b)
 
         with monkeypatch.context() as mp:
-            mp.setattr(protocol, "_uhlmann", traced_stacks)
+            mp.setattr(linalg, "_trace_norm", traced_stacks)
             one = kernel()
             forward = [one(s) for s in seqs]
         assert len(stacks) >= 3
@@ -837,7 +837,7 @@ def _check_traced_stack(ts, targets, anc_dim, seqs, cols, rng, l=None):
             scale = dense_oracle.traced_stack(ts, [np.abs(f) for f in factors], np.abs(lm), seq)
             assert (np.abs(got - want) <= 1e-15 * scale.real).all(), seq
         f_want = np.sum(np.linalg.svd(want, compute_uv=False)) ** 2
-        assert abs(protocol._uhlmann(got) - f_want) <= 1e-13 * f_want, seq
+        assert abs(linalg._trace_norm(got) ** 2 - f_want) <= 1e-13 * f_want, seq
     return tree, routes
 
 
