@@ -77,6 +77,8 @@ class ExtensionAssignment:
             v = np.asarray(p, dtype=float).reshape(-1)
             if v.size != size:
                 raise ValidationError(f"params[{k}] has length {v.size}, expected {size}")
+            if not np.isfinite(v).all():
+                raise ValidationError(f"params[{k}] has non-finite entries")
             packed.append(v)
         object.__setattr__(self, "params", tuple(packed))
 
@@ -92,9 +94,8 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, low in (("multistarts", 1), ("max_iters", 0), ("seed", 0),
                           ("ancilla_dim", 1), ("purifier_dim", 1)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValidationError(f"{name} must be >= {low}, got {value}")
+            if getattr(self, name) is not None:
+                linalg._index(getattr(self, name), name, low)
 
 
 @dataclass(frozen=True)

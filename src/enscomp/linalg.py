@@ -8,15 +8,16 @@ Conventions used throughout the package:
   mutates its input.
 """
 
+import operator
+
 import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import DimensionGuardError, ValidationError
 
-# The hard size limits, checked by ``check_limit`` alone.  Module-level so a
-# caller can raise one deliberately for a big run.  MAX_DIM caps a dense
-# dimension; ELEMENT_BUDGET caps the complex elements one call holds at once.
-MAX_DIM = 2 ** 14
+# The package's one resource limit: the complex elements (16 bytes) one call
+# holds at once, counted by each guard from the call's inputs and checked by
+# ``check_limit`` alone.  Module-level so a caller can raise it for a big run.
 ELEMENT_BUDGET = 2 ** 24
 
 # The one absolute rounding budget of every runtime check: hermiticity, unit
@@ -31,15 +32,25 @@ ATOL = 1e-9
 RANK_RTOL = 1e-14
 
 
-def check_limit(count: int, what: str, limit: int | None = None) -> None:
-    """The one resource guard: DimensionGuardError when ``count`` exceeds ``limit``.
+def check_limit(count: int, what: str) -> None:
+    """The one resource guard: DimensionGuardError when ``count`` exceeds ELEMENT_BUDGET.
 
-    ``limit`` defaults to ELEMENT_BUDGET, read at the call.  Callers count
-    before they allocate, so a refused run holds nothing.
+    ELEMENT_BUDGET is read at the call.  Callers count before they allocate,
+    so a refused run holds nothing.
     """
-    limit = ELEMENT_BUDGET if limit is None else limit
-    if count > limit:
-        raise DimensionGuardError(f"{what}: {count} exceeds the limit {limit}")
+    if count > ELEMENT_BUDGET:
+        raise DimensionGuardError(f"{what}: {count} exceeds the limit {ELEMENT_BUDGET}")
+
+
+def _index(x, what: str, low: int = 0) -> int:
+    """``x`` as a Python int (``operator.index``); ValidationError unless an integer >= low."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+    if x < low:
+        raise ValidationError(f"{what} must be >= {low}, got {x}")
+    return x
 
 
 def _as_complex(m) -> np.ndarray:
@@ -57,8 +68,8 @@ def kron_all(mats) -> np.ndarray:
     out = _as_complex(mats[0])
     for m in mats[1:]:
         m = _as_complex(m)
-        check_limit(out.shape[0] * m.shape[0], "dimension", MAX_DIM)
-        check_limit(out.shape[-1] * m.shape[-1], "dimension", MAX_DIM)
+        # the running product, the next one (rows x columns) and np.kron's ufunc buffers
+        check_limit(out.size * (1 + m.size) + 2 * np.getbufsize(), "elements of kron_all")
         out = np.kron(out, m)
     return out
 
@@ -71,20 +82,20 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     original relative order.  Preserves the trace exactly up to rounding.
     """
     m = _as_complex(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ValidationError("factor dimensions must be positive")
+    dims = tuple(_index(d, "factor dimension", 1) for d in dims)
     total = int(np.prod(dims))
     if m.shape != (total, total):
         raise ValidationError(
             f"matrix shape {m.shape} does not match factor dims {dims}"
         )
-    if isinstance(keep, int):
+    try:
+        keep = tuple(keep)
+    except TypeError:  # one factor index
         keep = (keep,)
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    keep = tuple(sorted({_index(k, "keep index") for k in keep}))
     if not keep:
         raise ValidationError("keep must name at least one factor")
-    if keep[0] < 0 or keep[-1] >= len(dims):
+    if keep[-1] >= len(dims):
         raise ValidationError(f"keep indices {keep} out of range for {dims}")
 
     n = len(dims)

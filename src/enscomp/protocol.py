@@ -45,8 +45,6 @@ from .states import DensityMatrix, Ensemble, ensemble_density, product_ensemble
 
 # auto sampling switches to Monte-Carlo above this many sequences
 EXACT_SEQUENCE_THRESHOLD = 4096
-# exact enumeration refuses more sequences (one record each) than this
-EXACT_HARD_LIMIT = 65536
 DEFAULT_MC_SAMPLES = 1024
 
 # parents x children of one diagonal block of a traced-route suffix level
@@ -128,16 +126,15 @@ def typical_subspace(
         raise ValidationError("give exactly one of eps or dim_cap")
     if eps is not None and not 0.0 <= eps < 1.0:
         raise ValidationError("eps must be in [0, 1)")
-    if dim_cap is not None and dim_cap < 1:
-        raise ValidationError("dim_cap must be >= 1")
-    if n < 1:
-        raise ValidationError("block length must be >= 1")
-    d = rho.dim
-    linalg.check_limit(d ** n, "dimension", linalg.MAX_DIM)
+    if dim_cap is not None:
+        dim_cap = linalg._index(dim_cap, "dim_cap", 1)
+    n = linalg._index(n, "block length", 1)
     w, vecs = rho._psd_eig
     r = int(np.count_nonzero(w))  # w is descending: the zeros come last
     w, vecs = w[:r], vecs[:, :r]
 
+    # the r^n probability pass holds 25-29 B per string (tracemalloc, n = 14-20)
+    linalg.check_limit(2 * r ** n, "elements of the typical subspace")
     probs = _type_probs(w, n)
     levels, counts = (a[::-1] for a in np.unique(probs, return_counts=True))
     cum = np.cumsum(np.repeat(levels, counts))  # the descending floats, in order
@@ -146,22 +143,26 @@ def typical_subspace(
         hit = np.flatnonzero(cum >= 1.0 - eps - EPS_SLACK)
         m = int(hit[0]) + 1 if hit.size else len(probs)
     else:
-        m = min(int(dim_cap), len(probs))
+        m = min(dim_cap, len(probs))
 
     # all levels above the m-th string's, then the first of its level: C order is lexicographic
     b = int(np.searchsorted(np.cumsum(counts), m))
     cut = np.flatnonzero(probs == levels[b])[: m - int(np.sum(counts[:b]))]
+    # probs and cum, then the m x n strings and their quotient copy, and a
+    # level cut short's swapped codes with np.isin's copies, 41-45 B each
+    swaps = len(cut) * n * (n - 1) // 2 if len(cut) < counts[b] else 0
+    linalg.check_limit(r ** n + m * (n + 2) + 3 * swaps, "elements of the typical subspace")
     kept = np.concatenate([np.flatnonzero(probs > levels[b]), cut])
     kept = kept[np.argsort(-probs[kept], kind="stable")]
     return TypicalSubspace(
         block_length=n,
         dim=m,
         retained_mass=float(cum[m - 1]),
-        strings=np.stack(np.unravel_index(kept, (r,) * n), axis=1),
+        strings=kept[:, None] // r ** np.arange(n - 1, -1, -1) % r,
         string_probs=probs[kept],
         source_eigenvalues=w,
         source_eigenvectors=vecs,
-        source_dim=d,
+        source_dim=rho.dim,
         position_blocks=_position_blocks(cut, int(counts[b]), r, n),
     )
 
@@ -193,7 +194,7 @@ def _type_probs(w: np.ndarray, n: int) -> np.ndarray:
     tail = np.append(np.cumsum(place[::-1])[::-1], 0)
     sorted_index = np.zeros(r ** n, dtype=np.intp)
     for i in range(r - 1):
-        # r >= 2 bounds n by log2 of the string count, so counts fit in uint8
+        # typical_subspace's count of 2 r^n bounds n by log2 of the budget: uint8 counts fit
         sorted_index += tail[_over_strings(np.add, (np.arange(r) <= i).astype(np.uint8), n)]
     return products[sorted_index]
 
@@ -209,8 +210,8 @@ def _position_blocks(cut, level_size: int, r: int, n: int) -> tuple[tuple[int, .
     """
     if len(cut) == level_size:
         return (tuple(range(n)),)
-    digits = np.stack(np.unravel_index(cut, (r,) * n), axis=1)
     place = r ** np.arange(n - 1, -1, -1)
+    digits = cut[:, None] // place % r
     a, b = np.triu_indices(n, 1)
     # swapping positions a and b moves the code by (s_a - s_b)(place_b - place_a)
     swapped = cut[:, None] + (digits[:, a] - digits[:, b]) * (place[b] - place[a])
@@ -476,36 +477,26 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
     return fidelities
 
 
-def _resolve_sampling(sampling: str, n_sequences: int) -> bool:
-    """Returns True for exact enumeration, False for Monte-Carlo."""
-    if sampling == "exact":
-        exact = True
-    elif sampling == "mc":
-        exact = False
-    elif sampling == "auto":
-        exact = n_sequences <= EXACT_SEQUENCE_THRESHOLD
-    else:
-        raise ValidationError(f"unknown sampling mode {sampling!r}")
-    if exact:
-        linalg.check_limit(n_sequences, "exactly enumerated sequences", EXACT_HARD_LIMIT)
-    return exact
-
-
 def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
-    if count < 1:
-        raise ValidationError(f"Monte-Carlo sample count must be >= 1, got {count}")
-    if seed < 0:
-        raise ValidationError(f"Monte-Carlo seed must be >= 0, got {seed}")
-    linalg.check_limit(count * n, "elements of the Monte-Carlo draw array")
+    count = linalg._index(count, "Monte-Carlo sample count", 1)
+    seed = linalg._index(seed, "Monte-Carlo seed")
+    # the draws, then np.unique's sorted copy of them and its mask: 16 n + 1 B a draw
+    linalg.check_limit(count * (n + 1), "elements of the Monte-Carlo draw array")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    draws = rng.choice(len(probs), size=(count, n), p=probs)
-    keys, counts = np.unique(draws, axis=0, return_counts=True)  # rows in lexicographic order
+    keys, counts = np.unique(rng.choice(len(probs), size=(count, n), p=probs), axis=0,
+                             return_counts=True)  # rows in lexicographic order
+    _check_records(len(keys), n)  # the draw array is already freed
     return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
+def _check_records(count: int, length: int) -> None:
+    # a sequence record with its orbit key and dict entries: 350-550 B at
+    # length 12 (tracemalloc), growing by 32 B a signal
+    linalg.check_limit(count * (24 + 2 * length), "elements of the sequence records")
 
 
 def _simulate(
     probs: np.ndarray,
-    length: int,
     fidelities,
     ts: TypicalSubspace,
     signals: int,
@@ -515,15 +506,20 @@ def _simulate(
 ) -> ProtocolResult:
     """The exact/Monte-Carlo sequence loop shared by both protocols.
 
-    Exact mode weighs every sequence of ``length`` signal indices by its
+    Exact mode weighs every sequence of ``ts.block_length`` signal indices by its
     probability; Monte-Carlo mode weighs each distinct draw by its count.
     ``fidelities`` maps a sequence to (F, F_ext or None).  Permuting signals
     inside a block of ``ts.position_blocks`` fixes the subspace, the junk
     string and the ancilla trace, so ``fidelities`` runs once per orbit: on
     the first sequence whose within-block sorted key is new.
     """
-    exact = _resolve_sampling(sampling, len(probs) ** length)
+    if sampling not in ("exact", "mc", "auto"):
+        raise ValidationError(f"unknown sampling mode {sampling!r}")
+    length = ts.block_length
+    sequences = len(probs) ** length
+    exact = sampling == "exact" or sampling == "auto" and sequences <= EXACT_SEQUENCE_THRESHOLD
     if exact:
+        _check_records(sequences, length)
         draws = dict.fromkeys(itertools.product(range(len(probs)), repeat=length))
     else:
         draws = _mc_draws(probs, length, mc_samples, seed)
@@ -573,7 +569,7 @@ def js_protocol(
     """
     ts = typical_subspace(ensemble_density(e0), n, eps=eps, dim_cap=dim_cap)
     kernel = _fidelity_kernel(ts, e0.states)
-    return _simulate(e0.probs, n, kernel, ts, n, sampling, mc_samples, seed)
+    return _simulate(e0.probs, kernel, ts, n, sampling, mc_samples, seed)
 
 
 def extension_protocol(
@@ -595,10 +591,9 @@ def extension_protocol(
     also checked against the pre-trace fidelity on the extension ensemble,
     which partial tracing can only improve.
     """
-    if k < 1:
-        raise ValidationError("number of blocks must be >= 1")
+    linalg._index(k, "number of blocks", 1)
     e_blk = product_ensemble(e0, n_block)
     e_ext = extended_ensemble(e_blk, assignment)
     ts = typical_subspace(ensemble_density(e_ext), k, eps=eps, dim_cap=dim_cap)
     kernel = _fidelity_kernel(ts, e_ext.states, e_blk.states, assignment.ancilla_dim)
-    return _simulate(e_blk.probs, k, kernel, ts, n_block * k, sampling, mc_samples, seed)
+    return _simulate(e_blk.probs, kernel, ts, n_block * k, sampling, mc_samples, seed)

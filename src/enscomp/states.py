@@ -34,12 +34,10 @@ class DensityMatrix:
     def __post_init__(self):
         m = linalg._as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(linalg._index(d, "factor dimension", 1) for d in self.factor_dims)
         object.__setattr__(self, "factor_dims", dims)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
-        if any(d <= 0 for d in dims):
-            raise ValidationError("factor dimensions must be positive")
         if int(np.prod(dims)) != m.shape[0]:
             raise ValidationError(
                 f"factor dims {dims} do not multiply to dimension {m.shape[0]}"
@@ -155,8 +153,7 @@ def product_ensemble(e0: Ensemble, n: int) -> Ensemble:
     Multi-indices are enumerated in lexicographic order, matching the
     sequence order used by the protocol simulators.
     """
-    if n < 1:
-        raise ValidationError("block length must be >= 1")
+    n = linalg._index(n, "block length", 1)
     if n == 1:
         return e0
     # |e|^n states of dimension d^n, each a matrix and its kept eigenvectors,

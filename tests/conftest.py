@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from enscomp import linalg
 from enscomp.states import DensityMatrix, Ensemble
 
 
@@ -41,6 +44,30 @@ def rand_ensemble(rng, dim, count, pure=False) -> Ensemble:
     p /= p.sum()
     maker = rand_pure_density if pure else rand_density
     return Ensemble(p, tuple(maker(rng, dim) for _ in range(count)))
+
+
+def guard_counts(monkeypatch) -> dict:
+    """Records the largest count each element guard checks, by what it counts."""
+    counts = {}
+    check = linalg.check_limit
+
+    def recording(count, what):
+        key = what.removeprefix("elements of ").removeprefix("the ")
+        counts[key] = max(count, counts.get(key, 0))
+        check(count, what)
+
+    monkeypatch.setattr(linalg, "check_limit", recording)
+    return counts
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -96,10 +97,10 @@ def test_minimize_builds_the_product_source_once(tmp_path, capsys, monkeypatch):
     builds, envelopes = [], []
     check, envelope_check = linalg.check_limit, bounds.envelope_check
 
-    def recording(count, what, limit=None):
+    def recording(count, what):
         if what == "elements of the product ensemble":
             builds.append(count)
-        check(count, what, limit)
+        check(count, what)
 
     def recorded_envelope(e, best):
         envelopes.append(envelope_check(e, best))
@@ -245,8 +246,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert cli.main(["minimize", path, "--multistarts", "1"] + bad_arg) == 2
         assert bad_arg[0][2:].replace("-", "_") in capsys.readouterr().err
-    # resource guard -> 4
-    assert cli.main(["simulate-js", path, "--n", "9", "--eps", "0.1"]) == 4
+    # resource guard -> 4: 4^9 strings, whose probability pass counts 2 elements each
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "ELEMENT_BUDGET", 2 * 4 ** 9 - 1)
+        capsys.readouterr()
+        assert cli.main(["simulate-js", path, "--n", "9", "--eps", "0.1"]) == 4
+        assert "typical subspace: 524288 exceeds the limit 524287" in capsys.readouterr().err
+    # an assignment whose parameters are not finite is a validation error
+    bad_assignment = extopt.trivial_assignment(reference.orthogonal_pair(), 2, 2)
+    bad_assignment.params[0][1] = float("nan")
+    assignment_path = tmp_path / "nan-assignment.json"
+    assignment_path.write_text(json.dumps(cli.assignment_to_payload(bad_assignment)))
+    assert cli.main(["simulate-ep", path, "--k", "1", "--dim-cap", "2",
+                     "--assignment", str(assignment_path)]) == 2
+    assert "params[0] has non-finite entries" in capsys.readouterr().err
     # a Monte-Carlo draw array past the element budget is refused before drawing
     assert cli.main(["simulate-js", path, "--n", "2", "--dim-cap", "2", "--sampling", "mc",
                      "--samples", "1000000000000000"]) == 4
@@ -266,6 +279,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_simulate_reports", lambda e, res: [violated])
     assert cli.main(["simulate-js", path, "--n", "2", "--eps", "0.1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n, cap", [(15, 121), (18, 172)])
+def test_biased_qubit_past_2_14_strings_matches_closed_form(tmp_path, capsys, n, cap):
+    # one mixed signal diag(p, 1 - p), its levels of at most two minority
+    # symbols kept: F = (w - p^n + sqrt(p^n (p^n + 1 - w)))^2 for the kept mass
+    # w and the junk string's p^n.  A fixed limit of 2^14 on d^n refused these
+    path = write_ensemble(tmp_path, reference.biased_qubit())
+    assert cli.main(["simulate-js", path, "--n", str(n), "--dim-cap", str(cap),
+                     "--format", "json"]) == 0
+    f = json.loads(capsys.readouterr().out)["rows"][0][3]
+    p = 0.9
+    w = sum(math.comb(n, j) * p ** (n - j) * (1 - p) ** j for j in range(3))
+    assert abs(f - (w - p ** n + math.sqrt(p ** n * (p ** n + 1 - w))) ** 2) <= 1e-12
 
 
 def test_high_fidelity_run_emits_satisfied_holevo_report(tmp_path, capsys):

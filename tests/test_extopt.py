@@ -10,7 +10,7 @@ from enscomp.errors import BoundViolationError, DimensionGuardError, ValidationE
 from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
-from conftest import rand_density, rand_ensemble, rand_rank_density, rand_unitary
+from conftest import guard_counts, rand_density, rand_ensemble, rand_rank_density, rand_unitary
 from test_known_answer import redundant_part_ensemble
 
 
@@ -108,6 +108,16 @@ def test_mismatched_assignment_is_rejected_by_every_entry(entry):
     one = extopt.ExtensionAssignment(4, 2, 4, (np.zeros(extopt.param_count(2, 4)),))
     with pytest.raises(ValidationError, match="1 param vectors for 2 states"):
         entry(e, one)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_rejects_non_finite_params(bad):
+    # json reads NaN, so an assignment file can carry one; it used to end in
+    # numpy's LinAlgError or a 0.0-bit entropy
+    params = np.zeros(extopt.param_count(2, 2))
+    params[5] = bad
+    with pytest.raises(ValidationError, match=r"params\[1\] has non-finite entries"):
+        extopt.ExtensionAssignment(2, 2, 2, (np.zeros_like(params), params))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -617,7 +627,7 @@ def test_extended_ensemble_guard_allocates_nothing(monkeypatch):
     # state; one element under the count refuses before any is built
     e = _d16_pair()
     assignment = extopt.trivial_assignment(e, 16, 1)
-    counts = _guard_counts(monkeypatch)
+    counts = guard_counts(monkeypatch)
     extopt.extended_ensemble(e, assignment)
     monkeypatch.setattr(linalg, "ELEMENT_BUDGET", counts["extended ensemble"] - 1)
     tracemalloc.start()
@@ -630,21 +640,6 @@ def test_extended_ensemble_guard_allocates_nothing(monkeypatch):
     assert peak < 2 ** 16
 
 
-def _guard_counts(monkeypatch) -> dict:
-    """Records the largest count each element guard checks, by what it counts."""
-    counts = {}
-    check = linalg.check_limit
-
-    def recording(count, what, limit=None):
-        if limit is None:
-            key = what.removeprefix("elements of the ")
-            counts[key] = max(count, counts.get(key, 0))
-        check(count, what, limit)
-
-    monkeypatch.setattr(linalg, "check_limit", recording)
-    return counts
-
-
 @pytest.mark.parametrize("dim, ancilla, purifier, block", [
     (4, 4, None, 3),  # default purifier: the N n^2 parameter vectors dominate
     (16, 16, 1, 2),  # pure extensions: the N (da)^2 extension products dominate
@@ -655,7 +650,7 @@ def test_guard_counts_bound_traced_peaks(monkeypatch, dim, ancilla, purifier, bl
     # 16 KiB of Python objects
     rng = np.random.default_rng(5)
     e = Ensemble([0.5, 0.5], tuple(rand_density(rng, dim) for _ in range(2)))
-    counts = _guard_counts(monkeypatch)
+    counts = guard_counts(monkeypatch)
     cfg = extopt.OptimizerConfig(multistarts=2, max_iters=15, seed=3, ancilla_dim=ancilla,
                                  purifier_dim=purifier)
     assignment = extopt.trivial_assignment(e, ancilla, purifier)

@@ -42,14 +42,17 @@ def test_tensor_product_guard(monkeypatch):
     big = np.eye(2 ** 8)
     with pytest.raises(DimensionGuardError):
         linalg.kron_all([big, big])
-    # custom limit
-    monkeypatch.setattr(linalg, "MAX_DIM", 16)
+    # the count is the running product, the next one and np.kron's two ufunc
+    # buffers: 16 + 256 + 2 x 8192 elements
+    buffers = 2 * np.getbufsize()
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 16 + 256 + buffers)
     linalg.kron_all([np.eye(4), np.eye(4)])
-    monkeypatch.setattr(linalg, "MAX_DIM", 15)
-    with pytest.raises(DimensionGuardError):
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 16 + 256 + buffers - 1)
+    with pytest.raises(DimensionGuardError, match="kron_all"):
         linalg.kron_all([np.eye(4), np.eye(4)])
-    # the guard applies to the running product, factor by factor
-    monkeypatch.setattr(linalg, "MAX_DIM", 8)
+    # the guard applies to the running product, factor by factor: 16 + 64
+    # elements pass, then 64 + 256 do not
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 300 + buffers)
     with pytest.raises(DimensionGuardError):
         linalg.kron_all([np.eye(4), np.eye(2), np.eye(2)])
 
@@ -99,6 +102,17 @@ def test_partial_trace_shape_error(rng):
         linalg.partial_trace(np.eye(4), (2, 3), {0})
     with pytest.raises(ValidationError):
         linalg.partial_trace(np.eye(4), (2, 2), set())
+    # a factor index is any integer, alone or in a collection, and nothing else
+    m = np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2)
+    for keep in (0, np.int64(0), [np.int64(0)], np.array([0])):
+        assert np.array_equal(linalg.partial_trace(m, (2, 2), keep), np.diag([0.25, 0.75]))
+    for keep in (0.0, [0.5], "0"):
+        with pytest.raises(ValidationError, match="keep index must be an integer"):
+            linalg.partial_trace(m, (2, 2), keep)
+    with pytest.raises(ValidationError, match="keep index must be >= 0, got -1"):
+        linalg.partial_trace(m, (2, 2), -1)
+    with pytest.raises(ValidationError, match="factor dimension must be an integer, got 2.0"):
+        linalg.partial_trace(m, (2.0, 2), 0)
 
 
 def test_hermitian_eig_diagonal():

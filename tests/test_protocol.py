@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import tracemalloc
 from math import prod
 
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from enscomp import extopt, linalg, protocol, states
+from enscomp import cli, extopt, linalg, protocol, states
 from enscomp.errors import DimensionGuardError, ValidationError
 from enscomp.fidelity import fidelity
 from enscomp.states import DensityMatrix, Ensemble
 
 import dense_oracle
-from conftest import rand_density, rand_pure_density, rand_unitary
+from conftest import guard_counts, rand_density, rand_pure_density, rand_unitary, traced_peak
 
 
 def zero_plus_pair():
@@ -88,7 +89,7 @@ def test_typical_subspace_mass_monotone_in_cap(rng):
     assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
-def test_typical_subspace_argument_validation(rng):
+def test_typical_subspace_argument_validation(rng, monkeypatch):
     rho = rand_density(rng, 2)
     with pytest.raises(ValidationError):
         protocol.typical_subspace(rho, 2)
@@ -97,11 +98,22 @@ def test_typical_subspace_argument_validation(rng):
     for bad in ({"eps": -0.1}, {"eps": 1.0}, {"dim_cap": 0}):
         with pytest.raises(ValidationError):
             protocol.typical_subspace(rho, 2, **bad)
-    with pytest.raises(DimensionGuardError):
-        protocol.typical_subspace(rand_density(rng, 4), 8, eps=0.1)
-    # a bad target is reported as such before the size guard runs
-    with pytest.raises(ValidationError):
-        protocol.typical_subspace(rand_density(rng, 4), 8, eps=1.5)
+    # the probability pass of 4^8 strings counts 2 elements each
+    rho4 = rand_density(rng, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "ELEMENT_BUDGET", 2 * 4 ** 8 - 1)
+        with pytest.raises(DimensionGuardError, match="typical subspace: 131072 exceeds"):
+            protocol.typical_subspace(rho4, 8, eps=0.1)
+        # a bad target is reported as such before the size guard runs
+        with pytest.raises(ValidationError):
+            protocol.typical_subspace(rho4, 8, eps=1.5)
+    # block lengths and caps are integers of any integer type, and nothing else
+    assert protocol.typical_subspace(rho, np.int64(3), dim_cap=np.int64(4)).dim == 4
+    for n, cap in ((3.0, 4), (3, 4.5), ("3", 4)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            protocol.typical_subspace(rho, n, dim_cap=cap)
+    with pytest.raises(ValidationError, match="dim_cap must be an integer, got 4.5"):
+        protocol.js_protocol(zero_plus_pair(), 3, dim_cap=4.5)
 
 
 def test_typical_subspace_matches_sorted_oracle(rng):
@@ -333,11 +345,10 @@ def test_cholesky_working_set_guard_allocates_nothing():
     assert peak < 2 ** 20
 
 
-def test_rows_working_set_guard_allocates_nothing(monkeypatch):
+def test_rows_working_set_guard_allocates_nothing():
     # m Q fits the budget, but the rows route (Q < m) holds T, L and conj(L),
     # about 3 m Q elements (3.1 m Q under tracemalloc at m = 1500, Q = 128),
     # so the guard fires before the rows are gathered
-    monkeypatch.setattr(linalg, "MAX_DIM", 4 ** 9)
     rng = np.random.default_rng(11)
     e = Ensemble([0.5, 0.5], (rand_density(rng, 4, rank=2), rand_density(rng, 4, rank=2)))
     ts = protocol.typical_subspace(states.ensemble_density(e), 9, dim_cap=11000)
@@ -430,11 +441,14 @@ def test_extension_protocol_optimized_orthogonal_pair():
     assert ep.avg_fidelity >= ep.ext_avg_fidelity - 1e-9
 
 
-def test_extension_protocol_guard():
+def test_extension_protocol_guard(monkeypatch):
+    # the extended source has rank 4, so k = 8 blocks have 4^8 strings, whose
+    # probability pass counts 2 elements each; the extended ensemble fits
     e = orthogonal_pair()
     triv = extopt.trivial_assignment(e, 4)  # block dim 16
-    with pytest.raises(DimensionGuardError):
-        protocol.extension_protocol(e, 1, triv, 4, eps=0.05)
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 2 * 4 ** 8 - 1)
+    with pytest.raises(DimensionGuardError, match="typical subspace"):
+        protocol.extension_protocol(e, 1, triv, 8, eps=0.05)
 
 
 def test_protocol_result_invariants(rng):
@@ -523,15 +537,22 @@ def test_kernel_matches_dense_oracle_random_mixed():
 
 def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
-    # (CLI exit 4) before they are allocated, on both protocols and routes
+    # (CLI exit 4) before they are allocated, on both protocols and routes.
+    # The kernels are built at the real budget: at 20 elements the runs'
+    # sequence records (28 elements each at n = 2) would be refused first
+    e, mixed = zero_plus_pair(), orthogonal_pair()
+    small, rows, chol = (
+        protocol._fidelity_kernel(
+            protocol.typical_subspace(states.ensemble_density(src), n, dim_cap=cap), src.states)
+        for src, n, cap in ((e, 2, 3), (e, 4, 16), (mixed, 2, 4)))
     monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 20)
-    e = zero_plus_pair()
-    protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")  # rows: (3 x 3 + 1) x 2
+    small((0, 1))  # rows: (3 x 3 + 1) x 2
     with pytest.raises(DimensionGuardError, match="rows-route working set"):
-        protocol.js_protocol(e, 4, dim_cap=16, sampling="exact")  # rows: (3 x 16 + 1) x 2
-    mixed = orthogonal_pair()
+        rows((0, 1, 0, 1))  # rows: (3 x 16 + 1) x 2
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
-        protocol.js_protocol(mixed, 2, dim_cap=4, sampling="exact")  # Cholesky: 5 x 4 x 4
+        chol((0, 1))  # Cholesky: 5 x 4 x 4
+    with pytest.raises(DimensionGuardError, match="sequence records: 112 exceeds"):
+        protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")
     # the extended ensemble (448 elements) is built at the real budget, so the
     # kernel's own guards are the ones that fire
     monkeypatch.undo()
@@ -1147,3 +1168,77 @@ def test_orbit_memo_kernel_calls(monkeypatch):
                             sampling="exact")
     res, calls, blocks = _counted_run(monkeypatch, run)
     assert (calls, len(res.per_sequence), blocks) == (324, 729, ((0,), (1,), (2, 3), (4, 5)))
+
+
+def _biased_qubit_subspace(n: int, cut: bool):
+    """typical_subspace on diag(0.9, 0.1): the levels below n / 2, and half the next if ``cut``."""
+    cap = sum(math.comb(n, j) for j in range(n // 2)) + cut * math.comb(n, n // 2) // 2
+    rho = DensityMatrix(np.diag([0.9, 0.1]), (2,))
+    return lambda: protocol.typical_subspace(rho, n, dim_cap=cap)
+
+
+def _exact_zero_plus(n: int):
+    """js_protocol on |0>/|+> at the benchmark's cap 2^(0.65 n), every sequence enumerated."""
+    return lambda: protocol.js_protocol(zero_plus_pair(), n, dim_cap=int(2 ** (0.65 * n)),
+                                        sampling="exact")
+
+
+def _mc_triple(samples: int):
+    """Monte-Carlo js_protocol on the mixed triple at n = 12: nearly every draw is distinct."""
+    return lambda: protocol.js_protocol(_mixed_triple(np.eye(2)), 12, dim_cap=5, sampling="mc",
+                                        mc_samples=samples)
+
+
+def _json_run(tmp_path, n: int):
+    """``enscomp simulate-js`` of ``_exact_zero_plus(n)`` with JSON output to a file."""
+    path = tmp_path / "zero-plus.json"
+    cli.save_ensemble(zero_plus_pair(), str(path))
+    argv = ["simulate-js", str(path), "--n", str(n), "--dim-cap", str(int(2 ** (0.65 * n))),
+            "--sampling", "exact", "--format", "json", "--out", str(tmp_path / "out.json")]
+    return lambda: cli.main(argv)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("typical subspace", lambda tmp: _biased_qubit_subspace(16, cut=False)),
+    ("typical subspace", lambda tmp: _biased_qubit_subspace(16, cut=True)),
+    ("sequence records", lambda tmp: _exact_zero_plus(12)),
+    ("sequence records", lambda tmp: _mc_triple(20000)),
+    ("kron_all", lambda tmp: lambda: linalg.kron_all(
+        [np.full((8, 8), 0.125, dtype=complex)] * 3)),
+    ("JSON per-sequence records", lambda tmp: _json_run(tmp, 12)),
+], ids=["typical-whole-levels", "typical-cut-level", "exact-records", "mc-records", "kron",
+        "json-emission"])
+def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, call):
+    # each count is at least the complex elements (16 bytes) its call holds at
+    # its traced peak, give or take 16 KiB of Python objects
+    run = call(tmp_path)
+    counts = guard_counts(monkeypatch)
+    peak = traced_peak(run)
+    assert 16 * counts[what] + 2 ** 14 >= peak
+
+
+@pytest.mark.parametrize("what, budget, call", [
+    ("typical subspace", None, lambda tmp: _biased_qubit_subspace(24, cut=False)),
+    ("typical subspace", 2 ** 17, lambda tmp: _biased_qubit_subspace(14, cut=True)),
+    ("kron_all", None, lambda tmp: lambda: linalg.kron_all(
+        [np.eye(2 ** 7, dtype=complex)] * 2)),
+    ("sequence records", 10 ** 5, lambda tmp: _exact_zero_plus(12)),
+    ("sequence records", 10 ** 5, lambda tmp: _mc_triple(2500)),
+    ("JSON per-sequence records", 10 ** 5, lambda tmp: functools.partial(
+        cli._json_result_extra, _exact_zero_plus(10)())),
+], ids=["typical-pass", "typical-strings", "kron", "exact-records", "mc-records",
+        "json-emission"])
+def test_resource_guard_refusals_allocate_nothing(monkeypatch, tmp_path, what, budget, call):
+    # a refused call holds less than 1 MiB: every count is taken before what it
+    # counts is allocated, at the real budget or at one the call's other counts
+    # fit.  The Monte-Carlo records are counted once the 2500 draws are made
+    # (one each here); the JSON emission gets a finished run's 1024 records
+    run = call(tmp_path)
+    if budget is not None:
+        monkeypatch.setattr(linalg, "ELEMENT_BUDGET", budget)
+
+    def refused():
+        with pytest.raises(DimensionGuardError, match=what):
+            run()
+
+    assert traced_peak(refused) < 2 ** 20
