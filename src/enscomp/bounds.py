@@ -6,7 +6,6 @@ import numpy as np
 
 from . import linalg
 from .errors import BoundViolationError, ValidationError
-from .fidelity import fidelity
 from .states import (
     DensityMatrix,
     Ensemble,
@@ -15,9 +14,6 @@ from .states import (
     holevo_quantity,
     von_neumann_entropy,
 )
-
-# The entropy-continuity inequality only holds above this fidelity floor.
-CONTINUITY_FIDELITY_FLOOR = 1.0 - 1.0 / 36.0
 
 ENVELOPE_TOL = 1e-6
 
@@ -78,17 +74,20 @@ def holevo_bound_check(e: Ensemble, measured_rate: float) -> BoundReport:
 def entropy_continuity_check(
     rho: DensityMatrix, rho_prime: DensityMatrix
 ) -> BoundReport:
-    """|S(rho) - S(rho')| <= 2 log2(dim) sqrt(1 - F) + 1, for F > 35/36.
+    """|S(rho) - S(rho')| <= T log2(D - 1) + h(T) for T <= 1 - 1/D, else log2 D.
 
-    Below the fidelity floor the inequality does not apply and the report is
-    marked not-applicable.  A gap 1 - F at or below RANK_RTOL is rounding of
-    F and counts as 0: sqrt() would inflate a gap of 2e-16 to 1.5e-8.
+    Audenaert's sharp continuity bound (J. Phys. A 40, 8127 (2007)) in the
+    trace distance T = ||rho - rho'||_1 / 2, with D the dimension and h the
+    binary entropy; it applies at every T.
     """
-    f = fidelity(rho, rho_prime)
+    if rho.dim != rho_prime.dim:
+        raise ValidationError(f"dimension mismatch: {rho.dim} vs {rho_prime.dim}")
+    d = rho.dim
+    t = linalg.trace_norm(rho.matrix - rho_prime.matrix) / 2.0
     lhs = abs(von_neumann_entropy(rho) - von_neumann_entropy(rho_prime))
-    gap = 1.0 - f
-    rhs = 2.0 * np.log2(rho.dim) * np.sqrt(gap if gap > linalg.RANK_RTOL else 0.0) + 1.0
-    return _report("entropy_continuity", lhs, rhs, applicable=f > CONTINUITY_FIDELITY_FLOOR)
+    h = -sum(x * np.log2(x) for x in (t, 1.0 - t) if x > 0.0)
+    rhs = np.log2(d) if t > 1.0 - 1.0 / d else t * np.log2(max(d - 1, 1)) + h
+    return _report("entropy_continuity", lhs, rhs)
 
 
 def ancilla_cap(n: int, dim_q: int) -> int:

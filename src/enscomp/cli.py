@@ -18,7 +18,6 @@ violation, 4 resource guard.
 """
 
 import argparse
-import dataclasses
 import json
 import operator
 import sys
@@ -83,8 +82,9 @@ def load_ensemble(path: str) -> states.Ensemble:
     """Load and validate an ensemble JSON file.
 
     Probability sums off by at most ``linalg.ATOL`` are renormalized; larger
-    deviations are rejected.  State validation failures name the offending
-    state index.
+    deviations are rejected.  A state whose row count or a row length is not
+    the product of ``factor_dims`` is a parse error; other state validation
+    failures name the offending state index.
     """
     payload = _read_json(path)
     if not isinstance(payload, dict):
@@ -107,14 +107,16 @@ def load_ensemble(path: str) -> states.Ensemble:
             f"probability sum {total!r} deviates from 1 by more than {linalg.ATOL:g}"
         )
     probs = probs / total
-    sts = []
+    dim, sts = int(np.prod(dims)), []
     for k, rows in enumerate(payload["states"]):
         try:
-            dim, widths = int(np.prod(dims)), [len(row) for row in rows]
-            if len(set(widths)) > 1:
-                i = next(i for i, w in enumerate(widths) if w != dim)
+            if len(rows) != dim:
                 raise EnsembleParseError(
-                    f"{path}: state {k}: row {i} has {widths[i]} entries, expected {dim}")
+                    f"{path}: state {k} has {len(rows)} rows, expected {dim}")
+            for i, row in enumerate(rows):
+                if len(row) != dim:
+                    raise EnsembleParseError(
+                        f"{path}: state {k}: row {i} has {len(row)} entries, expected {dim}")
             m = np.array(
                 [[complex(re, im) for re, im in row] for row in rows],
                 dtype=np.complex128,
@@ -188,46 +190,50 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
-def _emit(args, header, rows, reports, extra=None) -> None:
+def _write(fh, args, header, rows, reports, extra) -> None:
     cfg = _config_echo(args)
     if args.format == "json":
+        # streamed with each object's own field dict: nothing is held per record
         doc = {
             "tool": "enscomp",
             "version": __version__,
             "config": {k: str(v) for k, v in cfg.items()},
             "seed": args.seed,
-            "bounds": [dataclasses.asdict(r) for r in reports],
+            "bounds": [vars(r) for r in reports],
             "columns": list(header),
             "rows": [[x for x in row] for row in rows],
         }
         if extra:
             doc.update(extra)
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_fmt) + "\n"
-    else:
-        lines = [
-            f"# tool=enscomp version={__version__}",
-            "# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()),
-            f"# seed={args.seed}",
-        ]
-        for r in reports:
-            lines.append(
-                f"# bound {r.name}: lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} "
-                f"satisfied={_fmt(r.satisfied)} applicable={_fmt(r.applicable)} "
-                f"slack={_fmt(r.slack)}"
-            )
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_fmt)
+        fh.write("\n")
+        return
+    lines = [
+        f"# tool=enscomp version={__version__}",
+        "# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()),
+        f"# seed={args.seed}",
+    ]
+    for r in reports:
+        lines.append(
+            f"# bound {r.name}: lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} "
+            f"satisfied={_fmt(r.satisfied)} applicable={_fmt(r.applicable)} "
+            f"slack={_fmt(r.slack)}"
+        )
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row))
+    fh.write("\n".join(lines) + "\n")
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(args.out + ".meta.json", "w") as fh:
-            json.dump({"written_at": time.time(), "tool": "enscomp"}, fh)
-            fh.write("\n")
-    else:
-        sys.stdout.write(text)
+
+def _emit(args, header, rows, reports, extra=None) -> None:
+    if not args.out:
+        _write(sys.stdout, args, header, rows, reports, extra)
+        return
+    with open(args.out, "w") as fh:
+        _write(fh, args, header, rows, reports, extra)
+    with open(args.out + ".meta.json", "w") as fh:
+        json.dump({"written_at": time.time(), "tool": "enscomp"}, fh)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +301,6 @@ def _simulate_reports(e, res) -> list:
     return reports
 
 
-def _json_result_extra(res) -> dict:
-    # the records and their dicts, the encoder's chunks and the text: 2.1-3.1
-    # KB a record at lengths 8-18 (tracemalloc), growing by 95 B a signal
-    records = res.per_sequence
-    linalg.check_limit(len(records) * (112 + 6 * len(records[0].indices)),
-                       "elements of the JSON per-sequence records")
-    return {
-        "sampled": res.sampled,
-        "ext_avg_fidelity": res.ext_avg_fidelity,
-        "per_sequence": [dataclasses.asdict(r) for r in records],
-    }
-
-
 def _resolve_assignment(args, e) -> extopt.ExtensionAssignment:
     if args.assignment:
         return load_assignment(args.assignment)
@@ -340,8 +333,11 @@ def cmd_simulate(args) -> int:
             res = protocol.extension_protocol(e, args.n_block, assignment, v, **opts)
         reports.extend(_simulate_reports(e, res))
         rows.append((v, res.channel_dim, res.rate, res.avg_fidelity, res.stderr, res.seed))
-    json_extra = not sweep and args.format == "json"
-    _emit(args, SIMULATE_HEADER, rows, reports, _json_result_extra(res) if json_extra else None)
+    extra = None
+    if not sweep and args.format == "json":
+        extra = {"sampled": res.sampled, "ext_avg_fidelity": res.ext_avg_fidelity,
+                 "per_sequence": [vars(r) for r in res.per_sequence]}
+    _emit(args, SIMULATE_HEADER, rows, reports, extra)
     bounds.enforce(reports)
     return 0
 

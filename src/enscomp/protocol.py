@@ -477,7 +477,8 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
     return fidelities
 
 
-def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, int]:
+def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int):
+    """Lexicographic (row, count) pairs of the distinct seeded draws, made one at a time."""
     count = linalg._index(count, "Monte-Carlo sample count", 1)
     seed = linalg._index(seed, "Monte-Carlo seed")
     # the draws, then np.unique's sorted copy of them and its mask: 16 n + 1 B a draw
@@ -486,12 +487,12 @@ def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> dict[tuple, i
     keys, counts = np.unique(rng.choice(len(probs), size=(count, n), p=probs), axis=0,
                              return_counts=True)  # rows in lexicographic order
     _check_records(len(keys), n)  # the draw array is already freed
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    return ((tuple(row.tolist()), int(c)) for row, c in zip(keys, counts))
 
 
 def _check_records(count: int, length: int) -> None:
-    # a sequence record with its orbit key and dict entries: 350-550 B at
-    # length 12 (tracemalloc), growing by 32 B a signal
+    # a sequence record with its orbit key: 374-382 B at length 12 and 522-529 B
+    # at length 20 (tracemalloc, Monte-Carlo)
     linalg.check_limit(count * (24 + 2 * length), "elements of the sequence records")
 
 
@@ -520,17 +521,17 @@ def _simulate(
     exact = sampling == "exact" or sampling == "auto" and sequences <= EXACT_SEQUENCE_THRESHOLD
     if exact:
         _check_records(sequences, length)
-        draws = dict.fromkeys(itertools.product(range(len(probs)), repeat=length))
+        draws = ((s, None) for s in itertools.product(range(len(probs)), repeat=length))
     else:
         draws = _mc_draws(probs, length, mc_samples, seed)
     orbits = {}
     records, ext = [], []
-    for s in draws:  # lexicographic in both modes
+    for s, count in draws:  # lexicographic in both modes
         key = tuple(tuple(sorted(s[t] for t in block)) for block in ts.position_blocks)
         if key not in orbits:
             orbits[key] = fidelities(s)
         f, fe = orbits[key]
-        records.append(SequenceRecord(s, float(np.prod(probs[list(s)])), f, draws[s]))
+        records.append(SequenceRecord(s, float(np.prod(probs[list(s)])), f, count))
         ext.append(fe)
     w = np.array([r.probability if exact else r.draws / mc_samples for r in records])
     f = np.array([r.fidelity for r in records])

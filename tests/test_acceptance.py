@@ -280,9 +280,7 @@ def test_criterion_09_bounds(tmp_path, monkeypatch, capsys):
         t = rng.uniform(0.0, 0.06)
         rho_t = DensityMatrix((1 - t) * rho.matrix + t * mix.matrix, (2,))
         rep = bounds.entropy_continuity_check(rho, rho_t)
-        if not rep.applicable:
-            continue
-        ok &= rep.satisfied
+        ok &= rep.applicable and rep.satisfied
         checked += 1
 
     e = reference.zero_plus_pair()

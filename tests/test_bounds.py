@@ -40,48 +40,69 @@ def test_entropy_continuity_identity(rng):
     rho = rand_density(rng, 2)
     rep = bounds.entropy_continuity_check(rho, rho)
     assert rep.applicable and rep.satisfied
-    assert rep.lhs < 1e-9 and abs(rep.rhs - 1.0) < 1e-9
+    assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_entropy_continuity_identity_sweep(rng):
-    # F(rho, rho) falls short of 1 by rounding for about half of all states;
-    # that gap never reaches the sqrt, so the bound's rhs is exactly 1
+    # rho - rho is exactly zero, so T = 0 and the sharp bound's rhs is exactly 0
     for d in (2, 3, 5, 8):
         for _ in range(50):
             rho = rand_density(rng, d)
             rep = bounds.entropy_continuity_check(rho, rho)
-            assert rep.applicable and rep.rhs == 1.0
+            assert rep.applicable and rep.rhs == 0.0 and rep.satisfied
 
 
 def test_entropy_continuity_known_value():
+    # T = 0.01 on a qubit: the rhs is h(0.01), which the pair attains
     rho = DensityMatrix(np.diag([1.0, 0.0]), (2,))
     rho_t = DensityMatrix(np.diag([0.99, 0.01]), (2,))
     rep = bounds.entropy_continuity_check(rho, rho_t)
     assert rep.applicable and rep.satisfied
     h = -(0.99 * np.log2(0.99) + 0.01 * np.log2(0.01))
-    assert abs(rep.lhs - h) < 1e-9
-    assert abs(rep.rhs - 1.2) < 1e-9
+    assert abs(rep.lhs - h) < 1e-12
+    assert abs(rep.rhs - h) < 1e-12
 
 
-def test_entropy_continuity_not_applicable():
+def test_entropy_continuity_orthogonal_pair_saturates():
+    # T = 1 lies above 1 - 1/D, where the rhs is log2 D; it applies at every T
     a = DensityMatrix(np.diag([1.0, 0.0]), (2,))
     b = DensityMatrix(np.diag([0.0, 1.0]), (2,))
     rep = bounds.entropy_continuity_check(a, b)
-    assert not rep.applicable and rep.satisfied
+    assert rep.applicable and rep.satisfied
+    assert rep.lhs == 0.0 and abs(rep.rhs - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_entropy_continuity_equality_case(monkeypatch, d):
+    # rho = |0><0| and sigma = (1 - T)|0><0| + T/(D - 1)(I - |0><0|) attain the
+    # bound: S(sigma) = T log2(D - 1) + h(T) and ||rho - sigma||_1 / 2 = T
+    rho = DensityMatrix(np.diag([1.0] + [0.0] * (d - 1)), (d,))
+    for t in (0.01, 0.2, 0.4, 1.0 - 1.0 / d):
+        sigma = DensityMatrix(np.diag([1.0 - t] + [t / (d - 1)] * (d - 1)), (d,))
+        rep = bounds.entropy_continuity_check(rho, sigma)
+        h = -(t * np.log2(t) + (1.0 - t) * np.log2(1.0 - t))
+        assert abs(rep.rhs - (t * np.log2(d - 1) + h)) < 1e-12
+        assert rep.applicable and rep.satisfied and abs(rep.slack) < 1e-12
+    # so an entropy off by more than ATOL fails the check, on a qubit too
+    real = bounds.von_neumann_entropy
+    monkeypatch.setattr(bounds, "von_neumann_entropy", lambda r: real(r) + 1e-6 * (r is sigma))
+    assert not bounds.entropy_continuity_check(rho, sigma).satisfied
 
 
 def test_entropy_continuity_random_sweep(rng):
-    checked = 0
-    while checked < 200:
-        rho = rand_density(rng, 2)
-        mix = rand_density(rng, 2)
-        t = rng.uniform(0.0, 0.05)
-        rho_t = DensityMatrix((1 - t) * rho.matrix + t * mix.matrix, (2,))
-        rep = bounds.entropy_continuity_check(rho, rho_t)
-        if not rep.applicable:
-            continue
-        assert rep.satisfied
-        checked += 1
+    for d in (2, 3, 4):
+        for _ in range(100):
+            rho = rand_density(rng, d, rank=int(rng.integers(1, d + 1)))
+            mix = rand_density(rng, d)
+            t = rng.uniform(0.0, 1.0)
+            rho_t = DensityMatrix((1 - t) * rho.matrix + t * mix.matrix, (d,))
+            rep = bounds.entropy_continuity_check(rho, rho_t)
+            assert rep.applicable and rep.satisfied
+
+
+def test_entropy_continuity_dimension_mismatch(rng):
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        bounds.entropy_continuity_check(rand_density(rng, 2), rand_density(rng, 3))
 
 
 def test_ancilla_cap_values():

@@ -319,6 +319,53 @@ def test_load_ensemble_names_ragged_row(tmp_path, capsys):
     assert "row 1 has 1 entries" in err and "inhomogeneous" not in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+     "state 0: row 0 has 3 entries, expected 2"),
+    ([[[1.0, 0.0], [0.0, 0.0]]], "state 0 has 1 rows, expected 2"),
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+     "state 0 has 3 rows, expected 2"),
+], ids=["rows-too-wide", "too-few-rows", "too-many-rows"])
+def test_wrong_shaped_state_is_a_parse_error(tmp_path, capsys, rows, message):
+    # every row and the row count are checked against the product of
+    # factor_dims, whether or not the rows are ragged
+    path = tmp_path / "wrong-shape.json"
+    path.write_text(json.dumps({"probs": [1.0], "factor_dims": [2], "states": [rows]}))
+    with pytest.raises(EnsembleParseError, match=message):
+        cli.load_ensemble(str(path))
+    assert cli.main(["analyze", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+JSON_RUNS = {
+    "analyze": ["analyze"],
+    "minimize": ["minimize", "--multistarts", "2"],
+    "js-exact": ["simulate-js", "--n", "4", "--dim-cap", "9", "--sampling", "exact"],
+    "js-mc": ["simulate-js", "--n", "8", "--dim-cap", "20", "--sampling", "mc",
+              "--samples", "300"],
+    "ep-trivial": ["simulate-ep", "--k", "2", "--eps", "0.1", "--trivial"],
+    "ep-minimized": ["simulate-ep", "--k", "1", "--eps", "0.1", "--multistarts", "2"],
+    "sweep-js": ["sweep", "--protocol", "js", "--values", "3,4", "--eps", "0.1"],
+    "sweep-ep": ["sweep", "--protocol", "ep", "--values", "1,2", "--eps", "0.1", "--trivial"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS.values(), ids=JSON_RUNS.keys())
+def test_json_output_streams_the_documents_text(tmp_path, capsys, monkeypatch, argv):
+    # the document streamed into stdout or the --out file is byte for byte
+    # json.dumps' text of it, with the trailing newline
+    path = write_ensemble(tmp_path, reference.zero_plus_pair())
+    docs, dump = [], json.dump
+    monkeypatch.setattr(cli.json, "dump", lambda obj, fh, **kw: docs.append(obj) or dump(obj, fh, **kw))
+    out = tmp_path / "out.json"
+    assert cli.main([argv[0], path, *argv[1:], "--format", "json"]) == 0
+    assert cli.main([argv[0], path, *argv[1:], "--format", "json", "--out", str(out)]) == 0
+    assert docs[0] == docs[1]  # docs[2] is the --out run's sidecar
+    text = json.dumps(docs[0], sort_keys=True, indent=2, default=cli._fmt) + "\n"
+    assert capsys.readouterr().out == text
+    assert out.read_text() == text
+
+
 GOOD_STATES = [
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
     [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],

@@ -302,15 +302,37 @@ def test_js_protocol_fidelity_monotone_in_subspace_size():
 
 def test_mc_draws_count_rows_in_lexicographic_order():
     probs = np.array([0.5, 0.3, 0.2])
-    counts = protocol._mc_draws(probs, 4, 500, seed=3)
+    pairs = list(protocol._mc_draws(probs, 4, 500, seed=3))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
     expect: dict[tuple, int] = {}
     for row in rng.choice(3, size=(500, 4), p=probs):
         key = tuple(int(x) for x in row)
         expect[key] = expect.get(key, 0) + 1
-    assert counts == expect
-    assert list(counts) == sorted(counts)  # the order _simulate walks
-    assert all(type(c) is int for key in counts for c in key + (counts[key],))
+    assert dict(pairs) == expect and len(pairs) == len(expect)
+    assert [key for key, _ in pairs] == sorted(expect)  # the order _simulate walks
+    assert all(type(c) is int for key, count in pairs for c in key + (count,))
+
+
+def _unique_draw_dict(probs, n: int, count: int, seed: int) -> dict[tuple, int]:
+    """Distinct seeded draw rows and their counts through a dict of np.unique's rows."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    keys, counts = np.unique(rng.choice(len(probs), size=(count, n), p=probs), axis=0,
+                             return_counts=True)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
+@pytest.mark.parametrize("n", [4, 12, 20])
+def test_mc_draws_and_records_match_the_draw_dict(n):
+    # the draw pairs and the Monte-Carlo records keep the rows, counts and
+    # order of a dict built from np.unique's rows
+    e = _mixed_triple(np.eye(2))
+    probs = np.asarray(e.probs)
+    expect = list(_unique_draw_dict(probs, n, 3000, 11).items())
+    assert list(protocol._mc_draws(probs, n, 3000, 11)) == expect
+    res = protocol.js_protocol(e, n, dim_cap=5, sampling="mc", mc_samples=3000, seed=11)
+    assert [(r.indices, r.draws) for r in res.per_sequence] == expect
+    assert [r.probability for r in res.per_sequence] == [
+        float(np.prod(probs[list(key)])) for key, _ in expect]
 
 
 def test_mc_draw_budget_guard_allocates_nothing():
@@ -1205,12 +1227,13 @@ def _json_run(tmp_path, n: int):
     ("sequence records", lambda tmp: _mc_triple(20000)),
     ("kron_all", lambda tmp: lambda: linalg.kron_all(
         [np.full((8, 8), 0.125, dtype=complex)] * 3)),
-    ("JSON per-sequence records", lambda tmp: _json_run(tmp, 12)),
+    ("sequence records", lambda tmp: _json_run(tmp, 12)),
 ], ids=["typical-whole-levels", "typical-cut-level", "exact-records", "mc-records", "kron",
         "json-emission"])
 def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, call):
     # each count is at least the complex elements (16 bytes) its call holds at
-    # its traced peak, give or take 16 KiB of Python objects
+    # its traced peak, give or take 16 KiB of Python objects.  A JSON run
+    # streams the records it is given, so their count bounds the whole run
     run = call(tmp_path)
     counts = guard_counts(monkeypatch)
     peak = traced_peak(run)
@@ -1224,15 +1247,12 @@ def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, c
         [np.eye(2 ** 7, dtype=complex)] * 2)),
     ("sequence records", 10 ** 5, lambda tmp: _exact_zero_plus(12)),
     ("sequence records", 10 ** 5, lambda tmp: _mc_triple(2500)),
-    ("JSON per-sequence records", 10 ** 5, lambda tmp: functools.partial(
-        cli._json_result_extra, _exact_zero_plus(10)())),
-], ids=["typical-pass", "typical-strings", "kron", "exact-records", "mc-records",
-        "json-emission"])
+], ids=["typical-pass", "typical-strings", "kron", "exact-records", "mc-records"])
 def test_resource_guard_refusals_allocate_nothing(monkeypatch, tmp_path, what, budget, call):
     # a refused call holds less than 1 MiB: every count is taken before what it
     # counts is allocated, at the real budget or at one the call's other counts
     # fit.  The Monte-Carlo records are counted once the 2500 draws are made
-    # (one each here); the JSON emission gets a finished run's 1024 records
+    # (one each here)
     run = call(tmp_path)
     if budget is not None:
         monkeypatch.setattr(linalg, "ELEMENT_BUDGET", budget)
