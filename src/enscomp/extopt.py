@@ -69,8 +69,8 @@ class ExtensionAssignment:
     params: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.ancilla_dim < 1 or self.purifier_dim < 1 or self.system_dim < 1:
-            raise ValidationError("dimensions must be positive")
+        for name in ("system_dim", "ancilla_dim", "purifier_dim"):
+            object.__setattr__(self, name, linalg._index(getattr(self, name), name, 1))
         size = param_count(self.ancilla_dim, self.purifier_dim)
         packed = []
         for k, p in enumerate(self.params):
@@ -221,7 +221,9 @@ def extension_from_params(
 def trivial_assignment(
     e: Ensemble, ancilla_dim: int, purifier_dim: int | None = None
 ) -> ExtensionAssignment:
+    ancilla_dim = linalg._index(ancilla_dim, "ancilla_dim", 1)
     q = e.dim * ancilla_dim if purifier_dim is None else purifier_dim
+    q = linalg._index(q, "purifier_dim", 1)
     linalg.check_limit(len(e) * (ancilla_dim * q) ** 2, "elements of the trivial assignment")
     size = param_count(ancilla_dim, q)
     return ExtensionAssignment(e.dim, ancilla_dim, q, tuple(np.zeros(size) for _ in e.states))

@@ -33,9 +33,9 @@ class PureState:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        a = linalg._as_complex(self.amplitudes).reshape(-1)
         object.__setattr__(self, "amplitudes", a)
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(linalg._index(d, "factor dimension", 1) for d in self.factor_dims)
         object.__setattr__(self, "factor_dims", dims)
         if int(np.prod(dims)) != a.size:
             raise ValidationError(

@@ -34,7 +34,7 @@ stacks' trace norms come from ``linalg``'s R-SVD.
 
 import itertools
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -486,14 +486,10 @@ def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     keys, counts = np.unique(rng.choice(len(probs), size=(count, n), p=probs), axis=0,
                              return_counts=True)  # rows in lexicographic order
-    _check_records(len(keys), n)  # the draw array is already freed
+    # the draw array is already freed; a record with its own orbit key holds
+    # 374-382 B at length 12 and 522-529 B at length 20 (tracemalloc)
+    linalg.check_limit(len(keys) * (24 + 2 * n), "elements of the sequence records")
     return ((tuple(row.tolist()), int(c)) for row, c in zip(keys, counts))
-
-
-def _check_records(count: int, length: int) -> None:
-    # a sequence record with its orbit key: 374-382 B at length 12 and 522-529 B
-    # at length 20 (tracemalloc, Monte-Carlo)
-    linalg.check_limit(count * (24 + 2 * length), "elements of the sequence records")
 
 
 def _simulate(
@@ -520,7 +516,14 @@ def _simulate(
     sequences = len(probs) ** length
     exact = sampling == "exact" or sampling == "auto" and sequences <= EXACT_SEQUENCE_THRESHOLD
     if exact:
-        _check_records(sequences, length)
+        # records share their orbits' keys, one per multiset of signals in each
+        # block.  Traced at L = 7-16: 209-216 + 8 L B a keyless record (28-36 B
+        # more with JSON's field dict), at most 200 + 48 B + 8 L B a key of B
+        # blocks; counted as 320 + 8 L (for Python 3.10's dicts) and 256 + 48 B + 8 L
+        blocks = ts.position_blocks
+        keys = prod(comb(len(b) + len(probs) - 1, len(b)) for b in blocks)
+        halves = sequences * (40 + length) + keys * (32 + 6 * len(blocks) + length)
+        linalg.check_limit(halves // 2, "elements of the sequence records")
         draws = ((s, None) for s in itertools.product(range(len(probs)), repeat=length))
     else:
         draws = _mc_draws(probs, length, mc_samples, seed)

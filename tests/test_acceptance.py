@@ -291,8 +291,8 @@ def test_criterion_09_bounds(tmp_path, monkeypatch, capsys):
     # a violated report must exit nonzero through the CLI
     path = str(tmp_path / "e.json")
     cli.save_ensemble(e, path)
-    violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0, satisfied=False, slack=-1.0)
-    monkeypatch.setattr(cli, "_simulate_reports", lambda ens, r: [violated])
+    violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0)
+    monkeypatch.setattr(bounds, "holevo_bound_check", lambda *args: violated)
     code = cli.main(["simulate-js", path, "--n", "2", "--eps", "0.1"])
     capsys.readouterr()
     ok &= code == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enscomp import bounds, reference, states
+from enscomp import bounds, extopt, linalg, protocol, reference, states
 from enscomp.errors import BoundViolationError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
@@ -34,6 +34,58 @@ def test_holevo_bound_check_cases(rng):
 
     bad = bounds.holevo_bound_check(orthogonal_pure_pair(), 0.5)
     assert not bad.satisfied and bad.slack < 0
+
+
+def skew_source() -> Ensemble:
+    """{0.999: |0>, 0.001: |1>}: chi = h(0.001), F = 0.999 at rate 0 for n = 1."""
+    return Ensemble([0.999, 0.001], orthogonal_pure_pair().states)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.25, 1.0 / 3.0, 1.7])
+@pytest.mark.parametrize("signals", [1, 5, 4000])
+def test_holevo_converse_at_unit_fidelity_is_the_rate(rate, signals):
+    # g_D(0) = 0, so F = 1 (the default) checks chi <= R exactly, at any D
+    e = reference.zero_plus_pair()
+    assert bounds.holevo_bound_check(e, rate, 1.0, signals).rhs == rate
+    assert bounds.holevo_bound_check(e, rate).rhs == rate
+
+
+def test_holevo_converse_known_value():
+    # n = 1, D = 2: T = sqrt(0.001) <= 1/2, so the rhs is 0 + 2 h(T)
+    rep = bounds.holevo_bound_check(skew_source(), 0.0, 0.999)
+    t = np.sqrt(0.001)
+    assert rep.name == "holevo_rate" and rep.satisfied
+    assert abs(rep.lhs - -(0.999 * np.log2(0.999) + 0.001 * np.log2(0.001))) < 1e-12
+    assert abs(rep.rhs - -2 * (t * np.log2(t) + (1 - t) * np.log2(1 - t))) < 1e-12
+    # D = 2^4000 is read as an int: T > 1 - 1/D gives log2 D per signal, and
+    # a fidelity rounded past 1 reads as T = 0
+    assert bounds.holevo_bound_check(skew_source(), 0.0, 0.0, 4000).rhs == 2.0
+    assert bounds.holevo_bound_check(skew_source(), 0.5, 1.0 + 1e-12, 3).rhs == 0.5
+
+
+def test_holevo_converse_holds_on_random_exact_runs():
+    # R >= chi - 2 g_D(sqrt(1 - F)) / n is a theorem at every F: on random
+    # small sources, every cap, exact JS runs and trivial-assignment EP runs
+    rng = np.random.default_rng(30)
+    checked = low = 0
+    for _ in range(12):
+        d, count = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        e = rand_ensemble(rng, d, count, pure=bool(rng.integers(2)))
+        n = int(rng.integers(1, 4 if d == 2 else 3))
+        rank = states.support_dim(states.ensemble_density(e))
+        for cap in sorted({1, int(rng.integers(1, rank ** n + 1)), rank ** n}):
+            res = protocol.js_protocol(e, n, dim_cap=cap, sampling="exact")
+            rep = bounds.holevo_bound_check(e, res.rate, res.avg_fidelity, n)
+            assert rep.satisfied, (d, count, n, cap, rep)
+            checked, low = checked + 1, low + (res.avg_fidelity < 0.99)
+        assignment = extopt.trivial_assignment(e, 2, 2)
+        for k in (1, 2):
+            res = protocol.extension_protocol(e, 1, assignment, k, dim_cap=max(1, cap // 2),
+                                              sampling="exact")
+            rep = bounds.holevo_bound_check(e, res.rate, res.avg_fidelity, res.block_length)
+            assert rep.satisfied, (d, count, k, rep)
+            checked, low = checked + 1, low + (res.avg_fidelity < 0.99)
+    assert checked >= 50 and low >= 20  # most runs lie below the old 0.99 gate
 
 
 def test_entropy_continuity_identity(rng):
@@ -120,9 +172,9 @@ def test_ancilla_cap_rejects_non_positive(n, dim_q):
 
 
 def test_enforce_raises_only_for_applicable_violations():
-    ok = bounds._report("ok", 1.0, 2.0)
-    moot = bounds._report("moot", 3.0, 2.0, applicable=False)
-    bad = bounds._report("bad", 3.0, 2.0)
+    ok = bounds.BoundReport("ok", 1.0, 2.0)
+    moot = bounds.BoundReport("moot", 3.0, 2.0, applicable=False)
+    bad = bounds.BoundReport("bad", 3.0, 2.0)
     bounds.enforce([ok, moot])
     bounds.enforce([])
     with pytest.raises(BoundViolationError) as exc:
@@ -164,5 +216,14 @@ def test_envelope_check_builds_the_density_once(monkeypatch):
 
 
 def test_bound_report_consistency_guard():
-    with pytest.raises(ValueError):
+    # satisfied and slack are derived from lhs and rhs, so no report can
+    # contradict them, and neither can be passed in
+    bad = bounds.BoundReport("x", lhs=2, rhs=np.float64(1.0))
+    assert (bad.lhs, bad.rhs, bad.satisfied, bad.slack) == (2.0, 1.0, False, -1.0)
+    assert type(bad.lhs) is float and type(bad.rhs) is float
+    assert bounds.BoundReport("x", 1.0 + linalg.ATOL / 2, 1.0).satisfied
+    moot = bounds.BoundReport("x", 2.0, 1.0, applicable=False)
+    assert (moot.satisfied, moot.slack) == (True, -1.0)
+    assert sorted(vars(bad)) == ["applicable", "lhs", "name", "rhs", "satisfied", "slack"]
+    with pytest.raises(TypeError):
         bounds.BoundReport("x", lhs=2.0, rhs=1.0, satisfied=True, slack=-1.0)

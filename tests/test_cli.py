@@ -275,8 +275,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "minimizer working set" in err and "trivial assignment" in err
     # bound violation -> 3 (forced through a monkeypatched report)
-    violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0, satisfied=False, slack=-1.0)
-    monkeypatch.setattr(cli, "_simulate_reports", lambda e, res: [violated])
+    violated = bounds.BoundReport("forced", lhs=1.0, rhs=0.0)
+    monkeypatch.setattr(bounds, "holevo_bound_check", lambda *args: violated)
     assert cli.main(["simulate-js", path, "--n", "2", "--eps", "0.1"]) == 3
     capsys.readouterr()
 
@@ -306,6 +306,66 @@ def test_high_fidelity_run_emits_satisfied_holevo_report(tmp_path, capsys):
     assert doc["rows"][0][3] >= 0.99
     assert len(doc["bounds"]) == 1
     assert doc["bounds"][0]["satisfied"] is True
+
+
+def skew_source() -> states.Ensemble:
+    """{0.999: |0>, 0.001: |1>}: chi = 0.0114, and a cap-1 run has rate 0."""
+    return states.Ensemble([0.999, 0.001], (states.DensityMatrix(np.diag([1.0, 0.0]), (2,)),
+                                            states.DensityMatrix(np.diag([0.0, 1.0]), (2,))))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_skew_source_at_rate_zero_passes_the_holevo_converse(tmp_path, capsys, n):
+    # F = 0.999^n >= 0.99 at rate 0 < chi: the finite-n converse holds where
+    # the asymptotic R >= chi, checked above a fixed fidelity, refused the run
+    path = write_ensemble(tmp_path, skew_source())
+    assert cli.main(["simulate-js", path, "--n", str(n), "--dim-cap", "1",
+                     "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"][0][2] == 0.0 and abs(doc["rows"][0][3] - 0.999 ** n) < 1e-12
+    [rep] = doc["bounds"]
+    assert rep["name"] == "holevo_rate" and rep["satisfied"] is True
+    assert 0.28 < rep["rhs"] < 0.41 and rep["lhs"] < 0.0115
+
+
+def test_every_sweep_row_gets_a_holevo_report(tmp_path, capsys):
+    path = write_ensemble(tmp_path, skew_source())
+    assert cli.main(["sweep", path, "--protocol", "js", "--values", "1,2,3",
+                     "--dim-cap", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["satisfied"]) for r in doc["bounds"]] == [("holevo_rate", True)] * 3
+    # the converse's rhs shrinks towards chi as n grows
+    assert doc["bounds"][0]["rhs"] > doc["bounds"][1]["rhs"] > doc["bounds"][2]["rhs"]
+    assert cli.main(["simulate-js", path, "--n", "1", "--dim-cap", "1", "--sampling", "mc"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("source, n, cap, missed", [
+    (skew_source(), 3, 1, False),  # only 000 has F > 0, and every draw set holds it
+    (reference.zero_plus_pair(), 6, 9, True),  # 50 draws of 64 sequences
+    (reference.biased_qubit(), 8, 37, False),  # one sequence
+])
+def test_monte_carlo_holevo_check_takes_the_covered_mass(monkeypatch, tmp_path, capsys,
+                                                         source, n, cap, missed):
+    # an exact run is checked at its average fidelity; a Monte-Carlo run at the
+    # mass its distinct draws cover, which is at most the exact average, and
+    # below it when the draws miss a sequence of F > 0
+    path = write_ensemble(tmp_path, source)
+    real, seen = bounds.holevo_bound_check, []
+
+    def recorded(e, rate, fidelity, signals):
+        seen.append((fidelity, signals))
+        return real(e, rate, fidelity, signals)
+
+    monkeypatch.setattr(bounds, "holevo_bound_check", recorded)
+    argv = ["simulate-js", path, "--n", str(n), "--dim-cap", str(cap), "--format", "json"]
+    assert cli.main(argv + ["--sampling", "exact"]) == 0
+    exact = json.loads(capsys.readouterr().out)["rows"][0][3]
+    assert cli.main(argv + ["--sampling", "mc", "--samples", "50"]) == 0
+    capsys.readouterr()
+    [(f_exact, n_exact), (f_mc, n_mc)] = seen
+    assert abs(f_exact - exact) < 1e-12 and n_exact == n_mc == n
+    assert f_mc < f_exact - 1e-3 if missed else abs(f_mc - f_exact) < 1e-12
 
 
 def test_load_ensemble_names_ragged_row(tmp_path, capsys):

@@ -120,6 +120,25 @@ def test_assignment_rejects_non_finite_params(bad):
         extopt.ExtensionAssignment(2, 2, 2, (np.zeros_like(params), params))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: extopt.ExtensionAssignment(2, 2.5, 2, (np.zeros(extopt.param_count(2, 2)),)),
+    lambda: extopt.ExtensionAssignment(2, 2, 0, ()),
+    lambda: extopt.trivial_assignment(Ensemble([1.0], (DensityMatrix(np.eye(2) / 2, (2,)),)), 2.5),
+    lambda: extopt.trivial_assignment(Ensemble([1.0], (DensityMatrix(np.eye(2) / 2, (2,)),)), 2, 1.5),
+], ids=["fractional-ancilla", "zero-purifier", "trivial-fractional-ancilla",
+        "trivial-fractional-purifier"])
+def test_assignment_dimensions_must_be_positive_integers(build):
+    # a fractional dimension used to pass and end in a bare TypeError
+    with pytest.raises(ValidationError, match="_dim must be"):
+        build()
+
+
+def test_assignment_stores_python_int_dimensions():
+    a = extopt.ExtensionAssignment(np.int64(2), np.int32(2), np.uint8(2),
+                                   (np.zeros(extopt.param_count(2, 2)),))
+    assert [type(x) for x in (a.system_dim, a.ancilla_dim, a.purifier_dim)] == [int] * 3
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(d=st.integers(1, 3), ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        n_block=st.integers(1, 2), ancilla=st.integers(1, 3), purifier=st.integers(1, 3),

@@ -210,6 +210,19 @@ def test_purifications_vanish_on_the_kernel(rng):
         assert np.abs(np.kron(ker, np.eye(2)).conj().T @ ext.matrix).max() < 1e-12
 
 
+@pytest.mark.parametrize("amps, dims, match", [
+    (np.ones(2) / np.sqrt(2), (-1, -2), "factor dimension must be >= 1"),
+    (np.ones(2) / np.sqrt(2), (2.7,), "factor dimension must be an integer"),
+    (np.array([np.nan, 1.0]), (2,), "non-finite"),
+    (np.array([1.0, np.inf]), (2,), "non-finite"),
+])
+def test_pure_state_rejects_bad_dims_and_amplitudes(amps, dims, match):
+    # these used to pass, (2.7,) as (2,), and NaN ended in numpy's LinAlgError
+    with pytest.raises(ValidationError, match=match):
+        PureState(amps, dims)
+    assert type(PureState(np.ones(2) / np.sqrt(2), (np.int64(2),)).factor_dims[0]) is int
+
+
 def test_optimal_purification_purifier_too_small(rng):
     rho = rand_density(rng, 3)  # full rank
     small = PureState(np.array([1.0, 0, 0, 0, 0, 0]), (3, 2))

@@ -561,7 +561,8 @@ def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes.
     # The kernels are built at the real budget: at 20 elements the runs'
-    # sequence records (28 elements each at n = 2) would be refused first
+    # sequence records (4 records of 21 elements and 3 orbit keys of 20 at
+    # n = 2) would be refused first
     e, mixed = zero_plus_pair(), orthogonal_pair()
     small, rows, chol = (
         protocol._fidelity_kernel(
@@ -573,7 +574,7 @@ def test_fidelity_kernel_element_budget(monkeypatch):
         rows((0, 1, 0, 1))  # rows: (3 x 16 + 1) x 2
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         chol((0, 1))  # Cholesky: 5 x 4 x 4
-    with pytest.raises(DimensionGuardError, match="sequence records: 112 exceeds"):
+    with pytest.raises(DimensionGuardError, match="sequence records: 144 exceeds"):
         protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")
     # the extended ensemble (448 elements) is built at the real budget, so the
     # kernel's own guards are the ones that fire
