@@ -28,7 +28,6 @@ from .extopt import (
     assignment_entropy,
     entropy_gradient,
     extended_ensemble,
-    extension_from_params,
     minimize_extension_entropy,
     trivial_assignment,
     verify_extension,

@@ -18,6 +18,7 @@ violation, 4 resource guard.
 """
 
 import argparse
+import itertools
 import json
 import operator
 import sys
@@ -190,10 +191,23 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
+class _Records(list):
+    """[result] as a JSON array of its records, which ``json.dump`` makes one at a time."""
+
+    def __iter__(self):
+        r = self[0]
+        draws = itertools.repeat(None) if r.draws is None else map(int, r.draws)
+        for row, p, f, d in zip(r.indices, r.probability, r.fidelity, draws):
+            yield vars(protocol.SequenceRecord(tuple(row.tolist()), float(p), float(f), d))
+
+    def __eq__(self, other):  # record by record, as a list of the records compares
+        return list(self) == list(other)
+
+
 def _write(fh, args, header, rows, reports, extra) -> None:
     cfg = _config_echo(args)
     if args.format == "json":
-        # streamed with each object's own field dict: nothing is held per record
+        # streamed into fh: the records are made one at a time from the columns
         doc = {
             "tool": "enscomp",
             "version": __version__,
@@ -327,13 +341,14 @@ def cmd_simulate(args) -> int:
             res = protocol.js_protocol(e, v, **opts)
         else:
             res = protocol.extension_protocol(e, args.n_block, assignment, v, **opts)
-        covered = sum(r.probability * r.fidelity for r in res.per_sequence)
+        # summed left to right in record order; a dot product would round differently
+        covered = float(np.cumsum(res.probability * res.fidelity)[-1])
         reports.append(bounds.holevo_bound_check(e, res.rate, covered, res.block_length))
         rows.append((v, res.channel_dim, res.rate, res.avg_fidelity, res.stderr, res.seed))
     extra = None
     if not sweep and args.format == "json":
         extra = {"sampled": res.sampled, "ext_avg_fidelity": res.ext_avg_fidelity,
-                 "per_sequence": [vars(r) for r in res.per_sequence]}
+                 "per_sequence": _Records([res])}
     _emit(args, SIMULATE_HEADER, rows, reports, extra)
     bounds.enforce(reports)
     return 0

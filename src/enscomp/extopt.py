@@ -205,19 +205,6 @@ def _extension_amplitudes(
     return rho, k, u, theta
 
 
-def extension_from_params(
-    rho: DensityMatrix, params, ancilla_dim: int, purifier_dim: int
-) -> DensityMatrix:
-    """Build rho^ext on system (x) ancilla from isometry parameters.
-
-    The one-state case of ``extended_ensemble``.  Zero parameters give the
-    trivial embedding rho (x) |0><0| (for purifier_dim >= rank);
-    purifier_dim = 1 yields pure extensions.
-    """
-    assignment = ExtensionAssignment(rho.dim, ancilla_dim, purifier_dim, (params,))
-    return extended_ensemble(Ensemble([1.0], (rho,)), assignment).states[0]
-
-
 def trivial_assignment(
     e: Ensemble, ancilla_dim: int, purifier_dim: int | None = None
 ) -> ExtensionAssignment:

@@ -7,7 +7,7 @@ projection failure.  ``extension_protocol`` is the same scheme run on the
 extended block signals, after which the receiver traces out all ancilla
 factors.
 
-Both share one exact/Monte-Carlo sequence loop and one per-sequence fidelity
+Both share one exact/Monte-Carlo sequence driver and one per-sequence fidelity
 kernel, which never materializes a d^n-dimensional operator.  With V the
 typical basis and the compressed state V Y V^dag, Uhlmann's theorem gives
 F = ||stack_j L^dag X_j||_1^2 for Y = L L^dag and a target sigma = A A^dag
@@ -32,9 +32,9 @@ with the same singular values, and one GEMM absorbs the root.  Both
 stacks' trace norms come from ``linalg``'s R-SVD.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import comb, prod, sqrt
+from functools import cached_property
+from math import prod, sqrt
 
 import numpy as np
 
@@ -81,13 +81,18 @@ class SequenceRecord:
     draws: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     block_length: int  # signals per channel use (n for JS, n_block*k for EP)
     channel_dim: int
     avg_fidelity: float
-    per_sequence: tuple[SequenceRecord, ...]
+    # the records as columns: the sequences, lexicographic, in the smallest unsigned dtype
+    # for N; float64 probabilities and fidelities; int64 draw counts (None if exact)
+    indices: np.ndarray
+    probability: np.ndarray
+    fidelity: np.ndarray
     sampled: bool
+    draws: np.ndarray | None = None
     stderr: float | None = None
     seed: int | None = None
     ext_avg_fidelity: float | None = None
@@ -99,6 +104,15 @@ class ProtocolResult:
     @property
     def rate(self) -> float:
         return rate_of(self.channel_dim, self.block_length)
+
+    @cached_property
+    def per_sequence(self) -> tuple[SequenceRecord, ...]:
+        """The records as ``SequenceRecord``s, made on first use; equal fidelities share a float."""
+        draws = [None] * len(self.fidelity) if self.draws is None else self.draws.tolist()
+        first, which = _groups(self.fidelity[:, None])
+        fidelity = map(self.fidelity[first].tolist().__getitem__, which.tolist())
+        return tuple(map(SequenceRecord, map(tuple, self.indices.tolist()),
+                         self.probability.tolist(), fidelity, draws))
 
 
 def rate_of(channel_dim: int, signals: int) -> float:
@@ -477,81 +491,77 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
     return fidelities
 
 
-def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int):
-    """Lexicographic (row, count) pairs of the distinct seeded draws, made one at a time."""
+def _groups(rows: np.ndarray, blocks=()) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:] by a stable lexsort.
+
+    The keys are the rows, each sorted within every one of ``blocks``."""
+    if len(rows) <= 1:  # numpy's per-call costs would dominate a one-sequence run
+        return (np.zeros(len(rows), dtype=np.intp),) * 2
+    if blocks:
+        rows = np.concatenate([np.sort(rows[:, b], axis=1) for b in blocks], axis=1)
+    order = np.lexsort(rows.T[::-1])  # the last key sorts first
+    s = rows[order]
+    new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
+def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct seeded draws, in lexicographic order, and their counts."""
     count = linalg._index(count, "Monte-Carlo sample count", 1)
     seed = linalg._index(seed, "Monte-Carlo seed")
-    # the draws, then np.unique's sorted copy of them and its mask: 16 n + 1 B a draw
-    linalg.check_limit(count * (n + 1), "elements of the Monte-Carlo draw array")
+    # a draw: 16 B a signal in rng.choice (float64 uniforms, int64 indices), _simulate's 64 B
+    linalg.check_limit(count * (n + 4), "elements of the sequence records")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    keys, counts = np.unique(rng.choice(len(probs), size=(count, n), p=probs), axis=0,
-                             return_counts=True)  # rows in lexicographic order
-    # the draw array is already freed; a record with its own orbit key holds
-    # 374-382 B at length 12 and 522-529 B at length 20 (tracemalloc)
-    linalg.check_limit(len(keys) * (24 + 2 * n), "elements of the sequence records")
-    return ((tuple(row.tolist()), int(c)) for row, c in zip(keys, counts))
+    draws = rng.choice(len(probs), (count, n), p=probs).astype(np.min_scalar_type(len(probs) - 1))
+    first, inverse = _groups(draws)
+    return draws[first], np.bincount(inverse)
 
 
-def _simulate(
-    probs: np.ndarray,
-    fidelities,
-    ts: TypicalSubspace,
-    signals: int,
-    sampling: str,
-    mc_samples: int,
-    seed: int,
-) -> ProtocolResult:
-    """The exact/Monte-Carlo sequence loop shared by both protocols.
+def _simulate(probs: np.ndarray, fidelities, ts: TypicalSubspace, signals: int, sampling: str,
+              mc_samples: int, seed: int) -> ProtocolResult:
+    """The exact/Monte-Carlo sequence driver shared by both protocols; the records are columns.
 
-    Exact mode weighs every sequence of ``ts.block_length`` signal indices by its
-    probability; Monte-Carlo mode weighs each distinct draw by its count.
-    ``fidelities`` maps a sequence to (F, F_ext or None).  Permuting signals
-    inside a block of ``ts.position_blocks`` fixes the subspace, the junk
-    string and the ancilla trace, so ``fidelities`` runs once per orbit: on
-    the first sequence whose within-block sorted key is new.
+    Exact mode weighs each of the N^L sequences of ``ts.block_length``
+    signals, the base-N digits of 0 ... N^L - 1, by its probability;
+    Monte-Carlo mode weighs each distinct draw by its count.  ``fidelities``
+    maps a sequence to (F, F_ext or None).  Permuting signals inside a block
+    of ``ts.position_blocks`` fixes the subspace, the junk string and the
+    ancilla trace, so ``fidelities`` runs once per orbit, on its first row,
+    in order of first rows.
     """
+    length, n, dtype = ts.block_length, len(probs), np.min_scalar_type(len(probs) - 1)
+    exact = sampling == "exact" or sampling == "auto" and n ** length <= EXACT_SEQUENCE_THRESHOLD
+    if exact:
+        # a row: its indices, their int64 digits or float64 probabilities, and 64 B of vectors
+        # (probability, fidelity, draw count, the grouping's order, first and inverse, weights)
+        row_bytes = (8 + dtype.itemsize) * length + 64
+        linalg.check_limit(-(-n ** length * row_bytes // 16), "elements of the sequence records")
+        rows = np.arange(n ** length)[:, None] // n ** np.arange(length - 1, -1, -1)
+        rows, draws = np.remainder(rows, n, out=rows).astype(dtype), None
+    else:
+        rows, draws = _mc_draws(probs, length, mc_samples, seed)
+    probability = probs[rows].prod(axis=1)
+    first, inverse = _groups(rows, ts.position_blocks)  # an orbit's rows agree once sorted
+    orbits = [None] * len(first)
+    for g in np.argsort(first).tolist():  # the orbits in order of their first rows
+        orbits[g] = fidelities(tuple(rows[first[g]].tolist()))
+    f, ext = zip(*orbits)
+    fidelity = np.array(f)[inverse]
+    w = probability if exact else draws / mc_samples
+    avg = float(w @ fidelity)
+    stderr = None if exact else float(np.sqrt(w @ (fidelity - avg) ** 2 / max(mc_samples - 1, 1)))
+    return ProtocolResult(
+        block_length=signals, channel_dim=ts.dim, avg_fidelity=avg, indices=rows,
+        probability=probability, fidelity=fidelity, sampled=not exact, draws=draws,
+        stderr=stderr, seed=seed,
+        ext_avg_fidelity=None if ext[0] is None else float(w @ np.array(ext)[inverse]))
+
+
+def _check_sampling(sampling: str) -> None:
     if sampling not in ("exact", "mc", "auto"):
         raise ValidationError(f"unknown sampling mode {sampling!r}")
-    length = ts.block_length
-    sequences = len(probs) ** length
-    exact = sampling == "exact" or sampling == "auto" and sequences <= EXACT_SEQUENCE_THRESHOLD
-    if exact:
-        # records share their orbits' keys, one per multiset of signals in each
-        # block.  Traced at L = 7-16: 209-216 + 8 L B a keyless record (28-36 B
-        # more with JSON's field dict), at most 200 + 48 B + 8 L B a key of B
-        # blocks; counted as 320 + 8 L (for Python 3.10's dicts) and 256 + 48 B + 8 L
-        blocks = ts.position_blocks
-        keys = prod(comb(len(b) + len(probs) - 1, len(b)) for b in blocks)
-        halves = sequences * (40 + length) + keys * (32 + 6 * len(blocks) + length)
-        linalg.check_limit(halves // 2, "elements of the sequence records")
-        draws = ((s, None) for s in itertools.product(range(len(probs)), repeat=length))
-    else:
-        draws = _mc_draws(probs, length, mc_samples, seed)
-    orbits = {}
-    records, ext = [], []
-    for s, count in draws:  # lexicographic in both modes
-        key = tuple(tuple(sorted(s[t] for t in block)) for block in ts.position_blocks)
-        if key not in orbits:
-            orbits[key] = fidelities(s)
-        f, fe = orbits[key]
-        records.append(SequenceRecord(s, float(np.prod(probs[list(s)])), f, count))
-        ext.append(fe)
-    w = np.array([r.probability if exact else r.draws / mc_samples for r in records])
-    f = np.array([r.fidelity for r in records])
-    avg = float(w @ f)
-    stderr = None
-    if not exact:
-        stderr = float(np.sqrt(w @ (f - avg) ** 2 / max(mc_samples - 1, 1)))
-    return ProtocolResult(
-        block_length=signals,
-        channel_dim=ts.dim,
-        avg_fidelity=avg,
-        per_sequence=tuple(records),
-        sampled=not exact,
-        stderr=stderr,
-        seed=seed,
-        ext_avg_fidelity=None if ext[0] is None else float(w @ np.array(ext)),
-    )
 
 
 def js_protocol(
@@ -571,6 +581,7 @@ def js_protocol(
     Uhlmann fidelities between each sequence state and its decompressed
     output, averaged with sequence probabilities.
     """
+    _check_sampling(sampling)
     ts = typical_subspace(ensemble_density(e0), n, eps=eps, dim_cap=dim_cap)
     kernel = _fidelity_kernel(ts, e0.states)
     return _simulate(e0.probs, kernel, ts, n, sampling, mc_samples, seed)
@@ -595,6 +606,7 @@ def extension_protocol(
     also checked against the pre-trace fidelity on the extension ensemble,
     which partial tracing can only improve.
     """
+    _check_sampling(sampling)
     linalg._index(k, "number of blocks", 1)
     e_blk = product_ensemble(e0, n_block)
     e_ext = extended_ensemble(e_blk, assignment)

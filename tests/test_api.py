@@ -34,7 +34,6 @@ PUBLIC_NAMES = (
     "entropy_gradient",
     "envelope_check",
     "extended_ensemble",
-    "extension_from_params",
     "extension_protocol",
     "fidelity",
     "hermitian_eig",

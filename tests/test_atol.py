@@ -67,8 +67,10 @@ def bound_report(delta, tmp_path):
 
 
 def fidelity_range(delta, tmp_path):
+    none = np.zeros(0)
     protocol.ProtocolResult(block_length=1, channel_dim=1, avg_fidelity=1.0 + delta,
-                            per_sequence=(), sampled=False)
+                            indices=np.zeros((0, 1), dtype=np.uint8), probability=none,
+                            fidelity=none, sampled=False)
 
 
 def partial_trace_alarm(delta, tmp_path):

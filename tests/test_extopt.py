@@ -38,9 +38,15 @@ def mixed_triple():
         for bloch in blochs))
 
 
+def extension_from_params(rho, params, ancilla_dim: int, purifier_dim: int) -> DensityMatrix:
+    """rho's extension on system (x) ancilla: the one-state case of ``extended_ensemble``."""
+    assignment = extopt.ExtensionAssignment(rho.dim, ancilla_dim, purifier_dim, (params,))
+    return extopt.extended_ensemble(Ensemble([1.0], (rho,)), assignment).states[0]
+
+
 def test_extension_trivial_params(rng):
     rho = rand_density(rng, 2)
-    ext = extopt.extension_from_params(rho, np.zeros(extopt.param_count(2, 4)), 2, 4)
+    ext = extension_from_params(rho, np.zeros(extopt.param_count(2, 4)), 2, 4)
     expect = np.kron(rho.matrix, np.diag([1.0, 0.0]))
     assert np.abs(ext.matrix - expect).max() < 1e-12
     assert ext.factor_dims == (2, 2)
@@ -48,7 +54,7 @@ def test_extension_trivial_params(rng):
 
 def test_extension_pure_when_purifier_is_one(rng):
     rho = rand_density(rng, 2)
-    ext = extopt.extension_from_params(rho, np.zeros(extopt.param_count(2, 1)), 2, 1)
+    ext = extension_from_params(rho, np.zeros(extopt.param_count(2, 1)), 2, 1)
     assert states.von_neumann_entropy(ext) < 1e-10
 
 
@@ -57,7 +63,7 @@ def test_extension_random_params_verify(rng):
         rho = rand_density(rng, 2)
         n = 2 * 2
         params = rng.normal(size=2 * n * n)
-        ext = extopt.extension_from_params(rho, params, 2, 2)
+        ext = extension_from_params(rho, params, 2, 2)
         assert extopt.verify_extension(ext, rho)
 
 
@@ -67,14 +73,14 @@ def test_extension_vanishes_on_the_kernel(rng):
         k = int(rng.integers(1, d))
         rho, u = rand_rank_density(rng, d, k)
         params = rng.normal(size=extopt.param_count(2, 2))
-        ext = extopt.extension_from_params(rho, params, 2, 2)
+        ext = extension_from_params(rho, params, 2, 2)
         assert np.abs(np.kron(u[:, k:], np.eye(2)).conj().T @ ext.matrix).max() < 1e-12
 
 
 def test_extension_capacity_error(rng):
     rho = rand_density(rng, 4)  # full rank
     with pytest.raises(ValidationError):
-        extopt.extension_from_params(
+        extension_from_params(
             rho, np.zeros(extopt.param_count(1, 2)), 1, 2
         )
 
@@ -161,7 +167,7 @@ def test_extended_ensemble_properties(d, ranks, n_block, ancilla, purifier, zero
     ext = extopt.extended_ensemble(e, assignment)
     for rho, rho_ext, params in zip(e.states, ext.states, assignment.params):
         assert extopt.verify_extension(rho_ext, rho)
-        one = extopt.extension_from_params(rho, params, ancilla, purifier)
+        one = extension_from_params(rho, params, ancilla, purifier)
         assert np.array_equal(one.matrix, rho_ext.matrix)
         assert one.factor_dims == rho_ext.factor_dims == rho.factor_dims + (ancilla,)
     s_ext = states.von_neumann_entropy(states.ensemble_density(ext))

@@ -302,15 +302,16 @@ def test_js_protocol_fidelity_monotone_in_subspace_size():
 
 def test_mc_draws_count_rows_in_lexicographic_order():
     probs = np.array([0.5, 0.3, 0.2])
-    pairs = list(protocol._mc_draws(probs, 4, 500, seed=3))
+    rows, counts = protocol._mc_draws(probs, 4, 500, seed=3)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
     expect: dict[tuple, int] = {}
     for row in rng.choice(3, size=(500, 4), p=probs):
         key = tuple(int(x) for x in row)
         expect[key] = expect.get(key, 0) + 1
+    pairs = list(zip(map(tuple, rows.tolist()), counts.tolist()))
     assert dict(pairs) == expect and len(pairs) == len(expect)
     assert [key for key, _ in pairs] == sorted(expect)  # the order _simulate walks
-    assert all(type(c) is int for key, count in pairs for c in key + (count,))
+    assert rows.dtype == np.uint8 and counts.dtype == np.intp
 
 
 def _unique_draw_dict(probs, n: int, count: int, seed: int) -> dict[tuple, int]:
@@ -323,16 +324,91 @@ def _unique_draw_dict(probs, n: int, count: int, seed: int) -> dict[tuple, int]:
 
 @pytest.mark.parametrize("n", [4, 12, 20])
 def test_mc_draws_and_records_match_the_draw_dict(n):
-    # the draw pairs and the Monte-Carlo records keep the rows, counts and
+    # the draw arrays and the Monte-Carlo records keep the rows, counts and
     # order of a dict built from np.unique's rows
     e = _mixed_triple(np.eye(2))
     probs = np.asarray(e.probs)
     expect = list(_unique_draw_dict(probs, n, 3000, 11).items())
-    assert list(protocol._mc_draws(probs, n, 3000, 11)) == expect
+    rows, counts = protocol._mc_draws(probs, n, 3000, 11)
+    assert list(zip(map(tuple, rows.tolist()), counts.tolist())) == expect
     res = protocol.js_protocol(e, n, dim_cap=5, sampling="mc", mc_samples=3000, seed=11)
     assert [(r.indices, r.draws) for r in res.per_sequence] == expect
     assert [r.probability for r in res.per_sequence] == [
         float(np.prod(probs[list(key)])) for key, _ in expect]
+
+
+def _loop_records(probs, kernel, ts, sampling: str, samples: int, seed: int):
+    """The records and pre-trace fidelities of a loop over every sequence, memoized by orbit.
+
+    Exact runs walk itertools.product, Monte-Carlo runs np.unique's distinct
+    draws; the key of a sequence is its signals sorted within each block.
+    """
+    n = ts.block_length
+    if sampling == "exact":
+        pairs = [(s, None) for s in itertools.product(range(len(probs)), repeat=n)]
+    else:
+        pairs = list(_unique_draw_dict(probs, n, samples, seed).items())
+    orbits, records, ext = {}, [], []
+    for s, count in pairs:
+        key = tuple(tuple(sorted(s[t] for t in block)) for block in ts.position_blocks)
+        if key not in orbits:
+            orbits[key] = kernel(s)
+        records.append(protocol.SequenceRecord(s, float(np.prod(probs[list(s)])), orbits[key][0],
+                                               count))
+        ext.append(orbits[key][1])
+    return records, ext
+
+
+@pytest.mark.parametrize("sampling", ["exact", "mc"])
+def test_columns_match_a_per_sequence_loop(sampling, monkeypatch):
+    # The columns and the per_sequence view hold every row, probability (to
+    # the bit), fidelity and draw count that a per-sequence loop makes, on JS
+    # and EP runs of the mixed triple whose cut levels split the positions,
+    # and the kernel sees the loop's calls in the loop's order
+    calls, real_kernel = [], protocol._fidelity_kernel
+
+    def recording_kernel(*args):
+        kernel = real_kernel(*args)
+        return lambda s: calls.append(s) or kernel(s)
+
+    monkeypatch.setattr(protocol, "_fidelity_kernel", recording_kernel)
+    triple, best = _minimized_triple()
+    e_blk = states.product_ensemble(triple, 1)
+    e_ext = extopt.extended_ensemble(e_blk, best)
+    opts = dict(sampling=sampling, mc_samples=300, seed=5)
+    runs = [
+        (lambda: protocol.js_protocol(triple, 6, dim_cap=10, **opts),
+         protocol.typical_subspace(states.ensemble_density(triple), 6, dim_cap=10),
+         lambda ts: protocol._fidelity_kernel(ts, triple.states)),
+        (lambda: protocol.extension_protocol(triple, 1, best, 5, eps=0.05, **opts),
+         protocol.typical_subspace(states.ensemble_density(e_ext), 5, eps=0.05),
+         lambda ts: protocol._fidelity_kernel(ts, e_ext.states, e_blk.states, best.ancilla_dim)),
+    ]
+    for run, ts, kernel in runs:
+        assert 1 < len(ts.position_blocks) < ts.block_length
+        calls.clear()
+        res, driver_calls = run(), calls[:]
+        calls.clear()
+        expect, ext = _loop_records(triple.probs, kernel(ts), ts, sampling, 300, 5)
+        assert driver_calls == calls and len(calls) < len(expect)
+        assert res.indices.dtype == np.uint8
+        assert res.indices.tolist() == [list(r.indices) for r in expect]
+        assert list(map(repr, res.probability.tolist())) == [repr(r.probability) for r in expect]
+        assert res.fidelity.tolist() == [r.fidelity for r in expect]
+        if sampling == "exact":
+            assert res.draws is None
+        else:
+            assert res.draws.dtype == np.intp and res.draws.tolist() == [r.draws for r in expect]
+        assert res.per_sequence == tuple(expect)
+        assert res.per_sequence is res.per_sequence  # built once
+        # one float object per distinct fidelity, as the loop's orbits share theirs
+        assert len({id(r.fidelity) for r in res.per_sequence}) == len(set(res.fidelity.tolist()))
+        w = np.array([r.probability if r.draws is None else r.draws / 300 for r in expect])
+        assert res.avg_fidelity == float(w @ np.array([r.fidelity for r in expect]))
+        if ext[0] is None:
+            assert res.ext_avg_fidelity is None
+        else:
+            assert res.ext_avg_fidelity == float(w @ np.array(ext))
 
 
 def test_mc_draw_budget_guard_allocates_nothing():
@@ -421,6 +497,22 @@ def test_mc_seed_must_be_non_negative():
                                     seed=-1)
     # exact mode draws nothing, so the seed is not used
     protocol.js_protocol(e, 2, eps=0.1, sampling="exact", seed=-1)
+
+
+def test_unknown_sampling_mode_fails_before_any_work(monkeypatch):
+    # both entry points check the mode before they build a subspace, a source
+    # or a kernel
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the sampling mode was checked")
+
+    for name in ("typical_subspace", "product_ensemble", "extended_ensemble", "_fidelity_kernel"):
+        monkeypatch.setattr(protocol, name, no_work)
+    e = zero_plus_pair()
+    with pytest.raises(ValidationError, match="unknown sampling mode 'bogus'"):
+        protocol.js_protocol(e, 20, dim_cap=5000, sampling="bogus")
+    triv = extopt.trivial_assignment(e, 1, 2)
+    with pytest.raises(ValidationError, match="unknown sampling mode 'bogus'"):
+        protocol.extension_protocol(e, 1, triv, 2, eps=0.1, sampling="bogus")
 
 
 def test_js_protocol_auto_switches_to_sampling():
@@ -561,8 +653,8 @@ def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes.
     # The kernels are built at the real budget: at 20 elements the runs'
-    # sequence records (4 records of 21 elements and 3 orbit keys of 20 at
-    # n = 2) would be refused first
+    # sequence records (4 rows of 82 B at n = 2, 21 elements) would be
+    # refused first
     e, mixed = zero_plus_pair(), orthogonal_pair()
     small, rows, chol = (
         protocol._fidelity_kernel(
@@ -574,7 +666,7 @@ def test_fidelity_kernel_element_budget(monkeypatch):
         rows((0, 1, 0, 1))  # rows: (3 x 16 + 1) x 2
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         chol((0, 1))  # Cholesky: 5 x 4 x 4
-    with pytest.raises(DimensionGuardError, match="sequence records: 144 exceeds"):
+    with pytest.raises(DimensionGuardError, match="sequence records: 21 exceeds"):
         protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")
     # the extended ensemble (448 elements) is built at the real budget, so the
     # kernel's own guards are the ones that fire
@@ -1246,14 +1338,14 @@ def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, c
     ("typical subspace", 2 ** 17, lambda tmp: _biased_qubit_subspace(14, cut=True)),
     ("kron_all", None, lambda tmp: lambda: linalg.kron_all(
         [np.eye(2 ** 7, dtype=complex)] * 2)),
-    ("sequence records", 10 ** 5, lambda tmp: _exact_zero_plus(12)),
-    ("sequence records", 10 ** 5, lambda tmp: _mc_triple(2500)),
+    ("sequence records", 4 * 10 ** 4, lambda tmp: _exact_zero_plus(12)),
+    ("sequence records", 10 ** 4, lambda tmp: _mc_triple(2500)),
 ], ids=["typical-pass", "typical-strings", "kron", "exact-records", "mc-records"])
 def test_resource_guard_refusals_allocate_nothing(monkeypatch, tmp_path, what, budget, call):
     # a refused call holds less than 1 MiB: every count is taken before what it
     # counts is allocated, at the real budget or at one the call's other counts
-    # fit.  The Monte-Carlo records are counted once the 2500 draws are made
-    # (one each here)
+    # fit.  The Monte-Carlo records are counted with their draws, before the
+    # 2500 draws are made
     run = call(tmp_path)
     if budget is not None:
         monkeypatch.setattr(linalg, "ELEMENT_BUDGET", budget)
