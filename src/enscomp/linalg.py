@@ -163,16 +163,14 @@ def _qr_triangle(a: np.ndarray) -> np.ndarray:
     """R of the thin Householder QR a = Q R of an m x n stack, m >= n, by LAPACK's zgeqrf.
 
     numpy's lapack_lite runs zgeqrf in place on a Fortran-ordered ``a`` (any
-    other ``a`` is copied once), after a workspace query.  R is a view of
-    a's first n rows, the reflectors below its diagonal zeroed.
+    other ``a`` is copied once), with a workspace of 64 n, twice what its
+    query returns (32 n, the blocked panel's), so no query is made.  R is a
+    view of a's first n rows, the reflectors below its diagonal zeroed.
     """
     a = np.asfortranarray(a, dtype=np.complex128)
     m, n = a.shape
-    args = (m, n, a.T, m, np.empty(n, dtype=np.complex128))
-    work = np.empty(1, dtype=np.complex128)
-    lapack_lite.zgeqrf(*args, work, -1, 0)
-    work = np.empty(int(work[0].real), dtype=np.complex128)
-    info = lapack_lite.zgeqrf(*args, work, len(work), 0)["info"]
+    tau, work = np.empty(n, dtype=np.complex128), np.empty(64 * n, dtype=np.complex128)
+    info = lapack_lite.zgeqrf(m, n, a.T, m, tau, work, len(work), 0)["info"]
     if info:
         raise ValidationError(f"zgeqrf rejected argument {-info}")
     r = a[:n]

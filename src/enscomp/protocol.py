@@ -500,23 +500,11 @@ def _groups(rows: np.ndarray, blocks=()) -> tuple[np.ndarray, np.ndarray]:
     if blocks:
         rows = np.concatenate([np.sort(rows[:, b], axis=1) for b in blocks], axis=1)
     order = np.lexsort(rows.T[::-1])  # the last key sorts first
-    s = rows[order]
-    new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
+    rows = rows[order]  # the keys, sorted; unsorted ones made here are freed
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = new.cumsum() - 1
     return order[new], inverse
-
-
-def _mc_draws(probs: np.ndarray, n: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct seeded draws, in lexicographic order, and their counts."""
-    count = linalg._index(count, "Monte-Carlo sample count", 1)
-    seed = linalg._index(seed, "Monte-Carlo seed")
-    # a draw: 16 B a signal in rng.choice (float64 uniforms, int64 indices), _simulate's 64 B
-    linalg.check_limit(count * (n + 4), "elements of the sequence records")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    draws = rng.choice(len(probs), (count, n), p=probs).astype(np.min_scalar_type(len(probs) - 1))
-    first, inverse = _groups(draws)
-    return draws[first], np.bincount(inverse)
 
 
 def _simulate(probs: np.ndarray, fidelities, ts: TypicalSubspace, signals: int, sampling: str,
@@ -524,25 +512,37 @@ def _simulate(probs: np.ndarray, fidelities, ts: TypicalSubspace, signals: int, 
     """The exact/Monte-Carlo sequence driver shared by both protocols; the records are columns.
 
     Exact mode weighs each of the N^L sequences of ``ts.block_length``
-    signals, the base-N digits of 0 ... N^L - 1, by its probability;
-    Monte-Carlo mode weighs each distinct draw by its count.  ``fidelities``
-    maps a sequence to (F, F_ext or None).  Permuting signals inside a block
-    of ``ts.position_blocks`` fixes the subspace, the junk string and the
-    ancilla trace, so ``fidelities`` runs once per orbit, on its first row,
-    in order of first rows.
+    signals, in lexicographic order, by its probability; Monte-Carlo mode
+    weighs each distinct seeded draw, in lexicographic order, by its count.
+    ``fidelities`` maps a sequence to (F, F_ext or None).  Permuting signals
+    inside a block of ``ts.position_blocks`` fixes the subspace, the junk
+    string and the ancilla trace, so ``fidelities`` runs once per orbit, on
+    its first row, in order of first rows.
     """
     length, n, dtype = ts.block_length, len(probs), np.min_scalar_type(len(probs) - 1)
+    seed, b = linalg._index(seed, "seed"), dtype.itemsize
     exact = sampling == "exact" or sampling == "auto" and n ** length <= EXACT_SEQUENCE_THRESHOLD
-    if exact:
-        # a row: its indices, their int64 digits or float64 probabilities, and 64 B of vectors
-        # (probability, fidelity, draw count, the grouping's order, first and inverse, weights)
-        row_bytes = (8 + dtype.itemsize) * length + 64
-        linalg.check_limit(-(-n ** length * row_bytes // 16), "elements of the sequence records")
-        rows = np.arange(n ** length)[:, None] // n ** np.arange(length - 1, -1, -1)
-        rows, draws = np.remainder(rows, n, out=rows).astype(dtype), None
+    if not exact:
+        mc_samples = linalg._index(mc_samples, "Monte-Carlo sample count", 1)
+    # a record holds its indices, the orbit grouping's keys and their sorted copy, a bool a
+    # signal of comparisons and 64 B of vectors (probability, fidelity, draw count, order, first
+    # rows, inverse, weights, deviations); a draw, freed before the at most min(samples, N^L)
+    # distinct draws become records, holds rng.choice's float64 uniforms and int64 indices, 16 B
+    # a signal, or in the draw grouping the draws, their sorted copy, a bool a signal and 40 B
+    records = n ** length if exact else min(mc_samples, n ** length)
+    drawn = 0 if exact else mc_samples * max(16 * length, (2 * b + 1) * length + 40)
+    count = max(records * ((3 * b + 1) * length + 64), drawn)
+    linalg.check_limit(-(-count // 16), "elements of the sequence records")
+    if exact:  # the rows as a transposed view; np.indices takes at most 64 axes
+        grid = np.indices((n,) * length, dtype) if n > 1 else np.zeros((length, 1), dtype)
+        rows, draws = grid.reshape(length, -1).T, None
     else:
-        rows, draws = _mc_draws(probs, length, mc_samples, seed)
-    probability = probs[rows].prod(axis=1)
+        rows = np.random.default_rng(seed).choice(n, (mc_samples, length), p=probs).astype(dtype)
+        first, draws = _groups(rows)
+        rows, draws = rows[first], np.bincount(draws)
+    probability = probs.take(rows[:, 0])
+    for column in rows.T[1:]:  # left to right, as prod(axis=1) multiplies
+        probability *= probs.take(column)
     first, inverse = _groups(rows, ts.position_blocks)  # an orbit's rows agree once sorted
     orbits = [None] * len(first)
     for g in np.argsort(first).tolist():  # the orbits in order of their first rows

@@ -535,13 +535,19 @@ def test_simulate_zero_samples_is_a_validation_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate-js", "--n", "2", "--eps", "0.1", "--sampling", "mc", "--samples", "8"],
     ["simulate-ep", "--k", "1", "--eps", "0.1", "--trivial"],
-], ids=["simulate-js-mc", "simulate-ep-trivial"])
+    ["simulate-js", "--n", "2", "--eps", "0.1", "--sampling", "exact"],
+    ["simulate-ep", "--k", "1", "--eps", "0.1", "--trivial", "--sampling", "exact"],
+    ["sweep", "--protocol", "js", "--values", "1,2", "--eps", "0.1", "--sampling", "exact"],
+], ids=["simulate-js-mc", "simulate-ep-trivial", "simulate-js-exact", "simulate-ep-exact",
+        "sweep-js-exact"])
 def test_negative_seed_is_a_validation_error(tmp_path, capsys, argv):
-    # a Monte-Carlo run draws with the seed; simulate-ep checks its optimizer
-    # flags, the seed among them, even with --trivial
+    # one seed rule for every sampling mode, though an exact run draws nothing;
+    # simulate-ep checks its optimizer flags, the seed among them, even with
+    # --trivial
     path = write_ensemble(tmp_path, reference.zero_plus_pair())
     assert cli.main([argv[0], path, *argv[1:], "--seed", "-1"]) == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "seed must be >= 0, got -1" in err
 
 
 def _data_rows(text):

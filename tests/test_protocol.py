@@ -7,6 +7,7 @@ from math import prod
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from hypothesis import assume, given, settings, strategies as st
 
 from enscomp import cli, extopt, linalg, protocol, states
@@ -247,6 +248,9 @@ def test_js_protocol_single_pure_source(rng):
     assert res.channel_dim == 1
     assert res.rate == 0.0
     assert abs(res.avg_fidelity - 1.0) < 1e-9
+    # one sequence at any n, past the 64 axes np.indices takes too
+    res = protocol.js_protocol(e, 70, dim_cap=1, sampling="exact")
+    assert res.indices.shape == (1, 70) and abs(res.avg_fidelity - 1.0) < 1e-9
 
 
 def test_js_protocol_single_state_classical_oracle():
@@ -302,7 +306,9 @@ def test_js_protocol_fidelity_monotone_in_subspace_size():
 
 def test_mc_draws_count_rows_in_lexicographic_order():
     probs = np.array([0.5, 0.3, 0.2])
-    rows, counts = protocol._mc_draws(probs, 4, 500, seed=3)
+    e = Ensemble(probs, _mixed_triple(np.eye(2)).states)
+    res = protocol.js_protocol(e, 4, dim_cap=5, sampling="mc", mc_samples=500, seed=3)
+    rows, counts = res.indices, res.draws
     rng = np.random.default_rng(np.random.SeedSequence(entropy=3))
     expect: dict[tuple, int] = {}
     for row in rng.choice(3, size=(500, 4), p=probs):
@@ -329,9 +335,8 @@ def test_mc_draws_and_records_match_the_draw_dict(n):
     e = _mixed_triple(np.eye(2))
     probs = np.asarray(e.probs)
     expect = list(_unique_draw_dict(probs, n, 3000, 11).items())
-    rows, counts = protocol._mc_draws(probs, n, 3000, 11)
-    assert list(zip(map(tuple, rows.tolist()), counts.tolist())) == expect
     res = protocol.js_protocol(e, n, dim_cap=5, sampling="mc", mc_samples=3000, seed=11)
+    assert list(zip(map(tuple, res.indices.tolist()), res.draws.tolist())) == expect
     assert [(r.indices, r.draws) for r in res.per_sequence] == expect
     assert [r.probability for r in res.per_sequence] == [
         float(np.prod(probs[list(key)])) for key, _ in expect]
@@ -412,12 +417,13 @@ def test_columns_match_a_per_sequence_loop(sampling, monkeypatch):
 
 
 def test_mc_draw_budget_guard_allocates_nothing():
+    # rng.choice would hold 16 n B a draw, one element over the budget
     n = 12
     count = linalg.ELEMENT_BUDGET // n + 1
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionGuardError):
-            protocol._mc_draws(np.array([0.5, 0.5]), n, count, seed=0)
+        with pytest.raises(DimensionGuardError, match="sequence records"):
+            protocol.js_protocol(zero_plus_pair(), n, dim_cap=5, sampling="mc", mc_samples=count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -488,15 +494,15 @@ def test_mc_sample_count_must_be_positive(samples):
 
 
 def test_mc_seed_must_be_non_negative():
+    # one seed rule for every sampling mode, though exact mode draws nothing
     e = orthogonal_pair()
-    with pytest.raises(ValidationError, match="seed"):
-        protocol.js_protocol(e, 2, eps=0.1, sampling="mc", mc_samples=8, seed=-1)
     triv = extopt.trivial_assignment(e, 1, 4)
-    with pytest.raises(ValidationError, match="seed"):
-        protocol.extension_protocol(e, 1, triv, 2, eps=0.1, sampling="mc", mc_samples=8,
-                                    seed=-1)
-    # exact mode draws nothing, so the seed is not used
-    protocol.js_protocol(e, 2, eps=0.1, sampling="exact", seed=-1)
+    for sampling in ("mc", "exact"):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            protocol.js_protocol(e, 2, eps=0.1, sampling=sampling, mc_samples=8, seed=-1)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            protocol.extension_protocol(e, 1, triv, 2, eps=0.1, sampling=sampling,
+                                        mc_samples=8, seed=-1)
 
 
 def test_unknown_sampling_mode_fails_before_any_work(monkeypatch):
@@ -652,9 +658,8 @@ def test_kernel_matches_dense_oracle_random_mixed():
 def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes.
-    # The kernels are built at the real budget: at 20 elements the runs'
-    # sequence records (4 rows of 82 B at n = 2, 21 elements) would be
-    # refused first
+    # The kernels are built at the real budget, and a run's sequence records
+    # (4 rows of 72 B at n = 2, 18 elements) are refused at 17
     e, mixed = zero_plus_pair(), orthogonal_pair()
     small, rows, chol = (
         protocol._fidelity_kernel(
@@ -666,7 +671,8 @@ def test_fidelity_kernel_element_budget(monkeypatch):
         rows((0, 1, 0, 1))  # rows: (3 x 16 + 1) x 2
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         chol((0, 1))  # Cholesky: 5 x 4 x 4
-    with pytest.raises(DimensionGuardError, match="sequence records: 21 exceeds"):
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 17)  # the subspace's 16 elements fit
+    with pytest.raises(DimensionGuardError, match="sequence records: 18 exceeds"):
         protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")
     # the extended ensemble (448 elements) is built at the real budget, so the
     # kernel's own guards are the ones that fire
@@ -768,12 +774,18 @@ def test_uhlmann_trace_norm_matches_svd_oracle(monkeypatch, m, cols, r, j, rank,
     assert calls == [stack.shape] * 2 * tall
 
 
-@pytest.mark.parametrize("m, n", [(256, 64), (128, 64), (32, 16), (64, 2), (4, 2), (3, 1)])
+@pytest.mark.parametrize("m, n", [(2048, 1000), (1000, 500), (512, 100), (256, 64), (128, 64),
+                                  (32, 16), (64, 2), (4, 2), (3, 1)])
 def test_qr_triangle_matches_scipy_zgeqrf(m, n):
     # numpy's lapack_lite zgeqrf against scipy's: the same triangle, from a
-    # C-ordered stack (copied, left as it was) and in place on a Fortran one
+    # C-ordered stack (copied, left as it was) and in place on a Fortran one.
+    # Its fixed workspace of 64 n is at least what LAPACK's query asks for
     rng = np.random.default_rng(m * 100 + n)
     a = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    query = np.empty(1, dtype=np.complex128)
+    lapack_lite.zgeqrf(m, n, np.empty((n, m), dtype=np.complex128), m,
+                       np.empty(n, dtype=np.complex128), query, -1, 0)
+    assert query[0].real <= 64 * n
     want = dense_oracle.qr_triangle(a)
     c_order, f_order = a.copy(), np.asfortranarray(a)
     for b in (c_order, f_order):
@@ -1304,6 +1316,12 @@ def _mc_triple(samples: int):
                                         mc_samples=samples)
 
 
+def _mc_zero_plus(n: int, samples: int):
+    """Monte-Carlo js_protocol on |0>/|+> at cap 1: at most 2^n of the draws are distinct."""
+    return lambda: protocol.js_protocol(zero_plus_pair(), n, dim_cap=1, sampling="mc",
+                                        mc_samples=samples)
+
+
 def _json_run(tmp_path, n: int):
     """``enscomp simulate-js`` of ``_exact_zero_plus(n)`` with JSON output to a file."""
     path = tmp_path / "zero-plus.json"
@@ -1316,21 +1334,41 @@ def _json_run(tmp_path, n: int):
 @pytest.mark.parametrize("what, call", [
     ("typical subspace", lambda tmp: _biased_qubit_subspace(16, cut=False)),
     ("typical subspace", lambda tmp: _biased_qubit_subspace(16, cut=True)),
-    ("sequence records", lambda tmp: _exact_zero_plus(12)),
+    ("sequence records", lambda tmp: _exact_zero_plus(14)),
     ("sequence records", lambda tmp: _mc_triple(20000)),
     ("kron_all", lambda tmp: lambda: linalg.kron_all(
         [np.full((8, 8), 0.125, dtype=complex)] * 3)),
-    ("sequence records", lambda tmp: _json_run(tmp, 12)),
+    ("sequence records", lambda tmp: _json_run(tmp, 14)),
+    ("sequence records", lambda tmp: _mc_zero_plus(1, 2 * 10 ** 6)),
+    ("sequence records", lambda tmp: _mc_zero_plus(2, 3 * 10 ** 6)),
+    ("sequence records", lambda tmp: _mc_zero_plus(12, 1100000)),
 ], ids=["typical-whole-levels", "typical-cut-level", "exact-records", "mc-records", "kron",
-        "json-emission"])
+        "json-emission", "mc-draws-1", "mc-draws-2", "mc-draws-12"])
 def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, call):
     # each count is at least the complex elements (16 bytes) its call holds at
     # its traced peak, give or take 16 KiB of Python objects.  A JSON run
-    # streams the records it is given, so their count bounds the whole run
+    # streams the records it is given, so their count bounds the whole run.
+    # The exact runs are at n = 14: at n = 12 |0>/|+> peaks in typical_subspace
+    # Monte-Carlo runs of few distinct draws peak in the draw stage: at 35.4
+    # and 37.0 B a draw in the draw grouping at n = 1 and 2, more than
+    # rng.choice's 16 n B, and at rng.choice's 192 B a draw at n = 12
     run = call(tmp_path)
     counts = guard_counts(monkeypatch)
     peak = traced_peak(run)
     assert 16 * counts[what] + 2 ** 14 >= peak
+
+
+def test_exact_driver_peak_is_below_three_times_its_columns():
+    # the 2^20 rows of |0>/|+> at n = 20 come from np.indices in uint8 and
+    # their probabilities are multiplied column by column, so no int64 digit
+    # array or float64 gather of N^L x L elements is made (5.2x the columns
+    # when they were)
+    res = []
+    peak = traced_peak(lambda: res.append(
+        protocol.js_protocol(zero_plus_pair(), 20, dim_cap=22, sampling="exact")))
+    columns = sum(a.nbytes for a in (res[0].indices, res[0].probability, res[0].fidelity))
+    assert res[0].indices.dtype == np.uint8 and len(res[0].indices) == 2 ** 20
+    assert peak < 3 * columns
 
 
 @pytest.mark.parametrize("what, budget, call", [
@@ -1338,7 +1376,7 @@ def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, c
     ("typical subspace", 2 ** 17, lambda tmp: _biased_qubit_subspace(14, cut=True)),
     ("kron_all", None, lambda tmp: lambda: linalg.kron_all(
         [np.eye(2 ** 7, dtype=complex)] * 2)),
-    ("sequence records", 4 * 10 ** 4, lambda tmp: _exact_zero_plus(12)),
+    ("sequence records", 10 ** 5, lambda tmp: _exact_zero_plus(14)),
     ("sequence records", 10 ** 4, lambda tmp: _mc_triple(2500)),
 ], ids=["typical-pass", "typical-strings", "kron", "exact-records", "mc-records"])
 def test_resource_guard_refusals_allocate_nothing(monkeypatch, tmp_path, what, budget, call):
