@@ -119,15 +119,6 @@ class MinimizeResult:
     history: tuple[StartRecord, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class ExtensionCheck:
-    ok: bool
-    trace_norm_defect: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _expm_adjoint_derivative(u: np.ndarray, theta: np.ndarray, z: np.ndarray):
     """L*(G, Z) for G = U diag(i theta) U^dag and Z of shape (..., n, r), padded by zeros.
 
@@ -216,8 +207,16 @@ def trivial_assignment(
     return ExtensionAssignment(e.dim, ancilla_dim, q, tuple(np.zeros(size) for _ in e.states))
 
 
+def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> bounds.BoundReport:
+    """Tr_anc(rho_ext) = rho as the bound ||Tr_anc(rho_ext) - rho||_1 <= 0 (within ATOL)."""
+    reduced = linalg.partial_trace(
+        rho_ext.matrix, rho_ext.factor_dims, _system_factors(rho_ext, rho)
+    )
+    return bounds.BoundReport("extension_trace", linalg.trace_norm(reduced - rho.matrix), 0.0)
+
+
 def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
-    """Replace every signal state by its extension under the assignment."""
+    """Every signal state replaced by its extension under the assignment, each verified."""
     # the stacked parameters, generators and their eigenvectors (traced 4.1-5.1
     # N n^2), then the extensions, their symmetrized copies and eigenvectors
     # and one more state's worth while one is validated (traced 3.0-3.1 N (da)^2)
@@ -230,7 +229,9 @@ def extended_ensemble(e: Ensemble, assignment: ExtensionAssignment) -> Ensemble:
     ext = k @ k.conj().swapaxes(-1, -2)
     ext = (ext + ext.conj().swapaxes(-1, -2)) / 2.0
     dims = e.states[0].factor_dims + (a,)
-    return Ensemble(e.probs, tuple(DensityMatrix(m, dims) for m in ext))
+    out = Ensemble(e.probs, tuple(DensityMatrix(m, dims) for m in ext))
+    bounds.enforce(map(verify_extension, out.states, e.states))
+    return out
 
 
 def _plain_entropy(e: Ensemble, regs, flat: np.ndarray, ancilla_dim: int,
@@ -274,15 +275,6 @@ def _entropy_and_gradient(
 def entropy_gradient(e: Ensemble, assignment: ExtensionAssignment) -> np.ndarray:
     """Analytic gradient of the regularized assignment entropy."""
     return _entropy_and_gradient(e, *_checked_assignment(e, assignment))[1]
-
-
-def verify_extension(rho_ext: DensityMatrix, rho: DensityMatrix) -> ExtensionCheck:
-    """Check Tr_anc(rho_ext) = rho to ``linalg.ATOL`` in trace norm."""
-    reduced = linalg.partial_trace(
-        rho_ext.matrix, rho_ext.factor_dims, _system_factors(rho_ext, rho)
-    )
-    defect = linalg.trace_norm(reduced - rho.matrix)
-    return ExtensionCheck(defect <= linalg.ATOL, float(defect))
 
 
 def _wolfe_step(fun, x, f0: float, g0: np.ndarray, d: np.ndarray):
@@ -372,8 +364,9 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     total = param_count(ancilla_dim, purifier_dim) * len(e)
     # L-BFGS holds about 28 vectors of ``total`` reals (its 10 (s, y) pairs, x,
     # g, d and the line search's), the objective N x da x da products: traced
-    # peaks reach 34-37 N n^2 (n = 16 to 64) and 2.6 N (da)^2 complex elements
-    linalg.check_limit(20 * total + 3 * len(e) * (e.dim * ancilla_dim) ** 2,
+    # peaks reach 34-37 N n^2 (n = 16 to 64) and 2.6 N (da)^2 complex elements;
+    # then the best extended ensemble, whose count this holds, also at q = 1
+    linalg.check_limit(20 * total + 3 * (len(e) + 1) * (e.dim * ancilla_dim) ** 2,
                        "elements of the minimizer working set")
     regs = _registers(e, ancilla_dim, purifier_dim)
 
@@ -401,6 +394,9 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
         if final_s < best_entropy:
             best_entropy = final_s
             best_x, best_idx = x, idx
+    assignment = ExtensionAssignment(e.dim, ancilla_dim, purifier_dim,
+                                     tuple(np.split(best_x.copy(), len(e))))
+    extended_ensemble(e, assignment)  # enforces verify_extension on every extension
     best = history[best_idx]
     if not best.converged:
         warnings.warn(
@@ -411,8 +407,7 @@ def minimize_extension_entropy(e: Ensemble, cfg: OptimizerConfig) -> MinimizeRes
     bounds.enforce([report])
     return MinimizeResult(
         best_entropy=float(best_entropy),
-        best_assignment=ExtensionAssignment(e.dim, ancilla_dim, purifier_dim,
-                                            tuple(np.split(best_x.copy(), len(e)))),
+        best_assignment=assignment,
         best_start=best_idx,
         envelope=report,
         history=tuple(history),

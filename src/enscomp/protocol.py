@@ -38,8 +38,8 @@ from math import prod, sqrt
 
 import numpy as np
 
-from . import linalg
-from .errors import BoundViolationError, ValidationError
+from . import bounds, linalg
+from .errors import ValidationError
 from .extopt import ExtensionAssignment, extended_ensemble
 from .states import DensityMatrix, Ensemble, ensemble_density, product_ensemble
 
@@ -150,8 +150,8 @@ def typical_subspace(
     # the r^n probability pass holds 25-29 B per string (tracemalloc, n = 14-20)
     linalg.check_limit(2 * r ** n, "elements of the typical subspace")
     probs = _type_probs(w, n)
-    levels, counts = (a[::-1] for a in np.unique(probs, return_counts=True))
-    cum = np.cumsum(np.repeat(levels, counts))  # the descending floats, in order
+    desc = np.sort(probs)[::-1]
+    cum = np.cumsum(desc)
 
     if eps is not None:
         hit = np.flatnonzero(cum >= 1.0 - eps - EPS_SLACK)
@@ -159,14 +159,17 @@ def typical_subspace(
     else:
         m = min(dim_cap, len(probs))
 
-    # all levels above the m-th string's, then the first of its level: C order is lexicographic
-    b = int(np.searchsorted(np.cumsum(counts), m))
-    cut = np.flatnonzero(probs == levels[b])[: m - int(np.sum(counts[:b]))]
+    # the strings above the m-th one's level, then the first of its level: C order is lexicographic
+    level = desc[m - 1]
+    del desc  # the sorted copy would sit on the strings' peak
+    above = np.flatnonzero(probs > level)
+    tie = np.flatnonzero(probs == level)
+    cut = tie[: m - len(above)]
     # probs and cum, then the m x n strings and their quotient copy, and a
     # level cut short's swapped codes with np.isin's copies, 41-45 B each
-    swaps = len(cut) * n * (n - 1) // 2 if len(cut) < counts[b] else 0
+    swaps = len(cut) * n * (n - 1) // 2 if len(cut) < len(tie) else 0
     linalg.check_limit(r ** n + m * (n + 2) + 3 * swaps, "elements of the typical subspace")
-    kept = np.concatenate([np.flatnonzero(probs > levels[b]), cut])
+    kept = np.concatenate([above, cut])
     kept = kept[np.argsort(-probs[kept], kind="stable")]
     return TypicalSubspace(
         block_length=n,
@@ -177,7 +180,7 @@ def typical_subspace(
         source_eigenvalues=w,
         source_eigenvectors=vecs,
         source_dim=rho.dim,
-        position_blocks=_position_blocks(cut, int(counts[b]), r, n),
+        position_blocks=_position_blocks(cut, len(tie), r, n),
     )
 
 
@@ -482,10 +485,7 @@ def _fidelity_kernel(ts: TypicalSubspace, states, targets=None, anc_dim: int = 1
         if tree is None:
             return fid, None
         traced = min(linalg._trace_norm(_traced_stack(tree, lc, seq, work)) ** 2, 1.0)
-        if traced < fid - linalg.ATOL:
-            raise BoundViolationError(
-                f"partial trace reduced fidelity: {traced} < {fid}"
-            )
+        bounds.enforce([bounds.BoundReport("partial_trace_fidelity", fid, traced)])
         return traced, fid
 
     return fidelities
@@ -502,8 +502,10 @@ def _groups(rows: np.ndarray, blocks=()) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(rows.T[::-1])  # the last key sorts first
     rows = rows[order]  # the keys, sorted; unsorted ones made here are freed
     new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    ids = new.cumsum()  # made before ``inverse``, so cumsum's int64 cast of ``new`` is freed first
+    ids -= 1
     inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
+    inverse[order] = ids
     return order[new], inverse
 
 
@@ -525,13 +527,13 @@ def _simulate(probs: np.ndarray, fidelities, ts: TypicalSubspace, signals: int, 
     if not exact:
         mc_samples = linalg._index(mc_samples, "Monte-Carlo sample count", 1)
     # a record holds its indices, the orbit grouping's keys and their sorted copy, a bool a
-    # signal of comparisons and 64 B of vectors (probability, fidelity, draw count, order, first
-    # rows, inverse, weights, deviations); a draw, freed before the at most min(samples, N^L)
-    # distinct draws become records, holds rng.choice's float64 uniforms and int64 indices, 16 B
-    # a signal, or in the draw grouping the draws, their sorted copy, a bool a signal and 40 B
+    # signal of comparisons and 56 B of vectors (probability, fidelity, draw count, order, first
+    # rows, inverse, weights); a draw, freed before the at most min(samples, N^L) distinct
+    # draws become records, holds rng.choice's float64 uniforms and int64 indices, 16 B a
+    # signal, or in the draw grouping the draws, their sorted copy, a bool a signal and 32 B
     records = n ** length if exact else min(mc_samples, n ** length)
-    drawn = 0 if exact else mc_samples * max(16 * length, (2 * b + 1) * length + 40)
-    count = max(records * ((3 * b + 1) * length + 64), drawn)
+    drawn = 0 if exact else mc_samples * max(16 * length, (2 * b + 1) * length + 32)
+    count = max(records * ((3 * b + 1) * length + 56), drawn)
     linalg.check_limit(-(-count // 16), "elements of the sequence records")
     if exact:  # the rows as a transposed view; np.indices takes at most 64 axes
         grid = np.indices((n,) * length, dtype) if n > 1 else np.zeros((length, 1), dtype)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from enscomp import bounds, extopt, linalg, states
+from enscomp import bounds, cli, extopt, linalg, protocol, states
 from enscomp.errors import BoundViolationError, DimensionGuardError, ValidationError
 from enscomp.states import DensityMatrix, Ensemble
 
@@ -64,7 +64,7 @@ def test_extension_random_params_verify(rng):
         n = 2 * 2
         params = rng.normal(size=2 * n * n)
         ext = extension_from_params(rho, params, 2, 2)
-        assert extopt.verify_extension(ext, rho)
+        assert extopt.verify_extension(ext, rho).satisfied
 
 
 def test_extension_vanishes_on_the_kernel(rng):
@@ -166,7 +166,7 @@ def test_extended_ensemble_properties(d, ranks, n_block, ancilla, purifier, zero
         e.dim, ancilla, purifier, tuple(rng.normal(size=2 * n * n) for _ in e.states))
     ext = extopt.extended_ensemble(e, assignment)
     for rho, rho_ext, params in zip(e.states, ext.states, assignment.params):
-        assert extopt.verify_extension(rho_ext, rho)
+        assert extopt.verify_extension(rho_ext, rho).satisfied
         one = extension_from_params(rho, params, ancilla, purifier)
         assert np.array_equal(one.matrix, rho_ext.matrix)
         assert one.factor_dims == rho_ext.factor_dims == rho.factor_dims + (ancilla,)
@@ -178,11 +178,11 @@ def test_verify_extension_cases(rng):
     rho = rand_density(rng, 2)
     sig = rand_density(rng, 2)
     prod = DensityMatrix(np.kron(rho.matrix, sig.matrix), (2, 2))
-    assert extopt.verify_extension(prod, rho)
+    assert extopt.verify_extension(prod, rho).satisfied
 
     from enscomp.fidelity import canonical_purification
     puri = canonical_purification(rho).density()
-    assert extopt.verify_extension(puri, rho)
+    assert extopt.verify_extension(puri, rho).satisfied
 
     # a 1e-3 trace-norm defect must fail
     other = rand_density(rng, 2)
@@ -191,7 +191,42 @@ def test_verify_extension_cases(rng):
         (2, 2),
     )
     check = extopt.verify_extension(perturbed, rho)
-    assert not check and check.trace_norm_defect > 1e-4
+    assert not check.satisfied and check.lhs > 1e-4 and check.name == "extension_trace"
+
+
+def _non_isometric(amplitudes):
+    """``amplitudes`` with each K_i's first row doubled, then K_i scaled to unit norm.
+
+    The extensions keep trace 1 and stay PSD, but Tr_anc K_i K_i^dag != rho_i,
+    as if the W_i were not isometries.
+    """
+    def corrupted(e, regs, flat, ancilla_dim, purifier_dim):
+        _, k, u, theta = amplitudes(e, regs, flat, ancilla_dim, purifier_dim)
+        k = k.copy()
+        k[:, 0] *= 2.0
+        k /= np.linalg.norm(k, axis=(1, 2), keepdims=True)
+        return np.tensordot(e.probs, k @ k.conj().swapaxes(-1, -2), axes=1), k, u, theta
+
+    return corrupted
+
+
+def test_non_isometric_builder_violates_the_extension_trace(monkeypatch, tmp_path, capsys):
+    # every extension the builder makes is checked against its signal, in the
+    # protocol, the minimizer's best assignment and the CLI alike
+    monkeypatch.setattr(extopt, "_extension_amplitudes",
+                        _non_isometric(extopt._extension_amplitudes))
+    e = mixed_triple()
+    violated = "bound extension_trace violated"
+    with pytest.raises(BoundViolationError, match=violated):
+        protocol.extension_protocol(e, 1, extopt.trivial_assignment(e, 2), 2, eps=0.1,
+                                    sampling="exact")
+    cfg = extopt.OptimizerConfig(multistarts=2, max_iters=5, ancilla_dim=2)
+    with pytest.raises(BoundViolationError, match=violated):
+        extopt.minimize_extension_entropy(e, cfg)
+    path = tmp_path / "triple.json"
+    cli.save_ensemble(e, str(path))
+    assert cli.main(["simulate-ep", str(path), "--k", "1", "--eps", "0.1", "--trivial"]) == 3
+    assert violated in capsys.readouterr().err
 
 
 def test_assignment_entropy_trivial_matches_source(rng):
@@ -668,6 +703,7 @@ def test_extended_ensemble_guard_allocates_nothing(monkeypatch):
 @pytest.mark.parametrize("dim, ancilla, purifier, block", [
     (4, 4, None, 3),  # default purifier: the N n^2 parameter vectors dominate
     (16, 16, 1, 2),  # pure extensions: the N (da)^2 extension products dominate
+    (8, 8, 1, 2),  # pure extensions: the best assignment's extended ensemble peaks
 ])
 def test_guard_counts_bound_traced_peaks(monkeypatch, dim, ancilla, purifier, block):
     # each element guard counts at least the complex elements (16 bytes) its
@@ -695,3 +731,5 @@ def test_guard_counts_bound_traced_peaks(monkeypatch, dim, ancilla, purifier, bl
             finally:
                 tracemalloc.stop()
         assert 16 * counts[what] + 2 ** 14 >= peak, what
+    # the minimizer builds its best assignment's extended ensemble within its own count
+    assert counts["extended ensemble"] <= counts["minimizer working set"]

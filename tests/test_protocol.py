@@ -659,7 +659,7 @@ def test_fidelity_kernel_element_budget(monkeypatch):
     # per-sequence arrays over the budget end the run with DimensionGuardError
     # (CLI exit 4) before they are allocated, on both protocols and routes.
     # The kernels are built at the real budget, and a run's sequence records
-    # (4 rows of 72 B at n = 2, 18 elements) are refused at 17
+    # (8 rows of 68 B at n = 3, 34 elements) are refused at 33
     e, mixed = zero_plus_pair(), orthogonal_pair()
     small, rows, chol = (
         protocol._fidelity_kernel(
@@ -671,9 +671,9 @@ def test_fidelity_kernel_element_budget(monkeypatch):
         rows((0, 1, 0, 1))  # rows: (3 x 16 + 1) x 2
     with pytest.raises(DimensionGuardError, match="Cholesky-route working set"):
         chol((0, 1))  # Cholesky: 5 x 4 x 4
-    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 17)  # the subspace's 16 elements fit
-    with pytest.raises(DimensionGuardError, match="sequence records: 18 exceeds"):
-        protocol.js_protocol(e, 2, dim_cap=3, sampling="exact")
+    monkeypatch.setattr(linalg, "ELEMENT_BUDGET", 33)  # the subspace's 28 elements fit
+    with pytest.raises(DimensionGuardError, match="sequence records: 34 exceeds"):
+        protocol.js_protocol(e, 3, dim_cap=4, sampling="exact")
     # the extended ensemble (448 elements) is built at the real budget, so the
     # kernel's own guards are the ones that fire
     monkeypatch.undo()
@@ -1349,9 +1349,9 @@ def test_resource_guard_counts_bound_traced_peaks(monkeypatch, tmp_path, what, c
     # its traced peak, give or take 16 KiB of Python objects.  A JSON run
     # streams the records it is given, so their count bounds the whole run.
     # The exact runs are at n = 14: at n = 12 |0>/|+> peaks in typical_subspace
-    # Monte-Carlo runs of few distinct draws peak in the draw stage: at 35.4
-    # and 37.0 B a draw in the draw grouping at n = 1 and 2, more than
-    # rng.choice's 16 n B, and at rng.choice's 192 B a draw at n = 12
+    # Monte-Carlo runs of few distinct draws peak in the draw stage: at 27.0
+    # B a draw in the draw grouping at n = 1, more than rng.choice's 16 n B,
+    # and at rng.choice's 32 and 192 B a draw at n = 2 and 12
     run = call(tmp_path)
     counts = guard_counts(monkeypatch)
     peak = traced_peak(run)
